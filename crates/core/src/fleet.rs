@@ -844,9 +844,10 @@ impl Fleet {
     }
 
     /// Attaches an alobs telemetry sink: batch/job spans (one timeline
-    /// track per worker thread), device timelines nested inside job spans,
-    /// and fleet metrics (steals, queue waits, cache attribution). Job
-    /// results stay bit-identical — telemetry only observes.
+    /// track per worker thread that runs a job), device timelines nested
+    /// inside job spans, and fleet metrics (steals, queue waits, cache
+    /// attribution). Job results stay bit-identical — telemetry only
+    /// observes.
     #[must_use]
     pub fn with_telemetry(mut self, tele: Arc<alrescha_obs::Telemetry>) -> Self {
         self.telemetry = Some(tele);
@@ -927,9 +928,6 @@ impl Fleet {
             let Some(local) = lock(&slots[me]).take() else {
                 return Vec::new();
             };
-            if let Some(tele) = &self.telemetry {
-                tele.name_thread(format!("worker-{me}"));
-            }
             let mut station = WorkerStation::new(me);
             let mut out = Vec::new();
             loop {
@@ -950,6 +948,13 @@ impl Fleet {
                     })
                 });
                 let Some(i) = next else { break };
+                // Name the track at the first job: a worker whose deque was
+                // stolen empty before it started gets no timeline track.
+                if out.is_empty() {
+                    if let Some(tele) = &self.telemetry {
+                        tele.name_thread(format!("worker-{me}"));
+                    }
+                }
                 let queue_wait = submitted.elapsed();
                 out.push(self.execute(&mut station, i, &admitted[i], queue_wait, deadline));
             }

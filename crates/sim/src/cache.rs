@@ -123,6 +123,58 @@ impl LocalCache {
         }
     }
 
+    /// Reads the `len` consecutive words starting at `start`; returns
+    /// whether any of them missed.
+    ///
+    /// Counters and tag/LRU state end exactly as after `len` calls to
+    /// [`LocalCache::read`], with one tag probe per line instead of per
+    /// word: a just-touched line is most-recently-used in its set, so the
+    /// rest of its words in the run always hit. With a fault injector
+    /// attached every hit may draw a parity error, so the run falls back
+    /// to the per-word loop to keep the injector's draw sequence.
+    pub fn read_run(&mut self, start: usize, len: usize) -> bool {
+        let mut missed = false;
+        if self.faults.is_some() {
+            for word in start..start + len {
+                missed |= !self.read(word).hit;
+            }
+            return missed;
+        }
+        self.for_each_line(start, len, |cache, hit, words| {
+            if hit {
+                cache.hits += words;
+            } else {
+                cache.misses += 1;
+                cache.hits += words - 1;
+                missed = true;
+            }
+        });
+        missed
+    }
+
+    /// Writes the `len` consecutive words starting at `start`, with the
+    /// counters and tag/LRU state of `len` calls to [`LocalCache::write`]
+    /// (writes never draw from the injector).
+    pub fn write_run(&mut self, start: usize, len: usize) {
+        self.writes += len as u64;
+        self.for_each_line(start, len, |_, _, _| {});
+    }
+
+    /// Touches each line of the word run `[start, start + len)` once, in
+    /// order, passing whether it hit and how many of the run's words it
+    /// holds.
+    fn for_each_line(&mut self, start: usize, len: usize, mut f: impl FnMut(&mut Self, bool, u64)) {
+        let end = start + len;
+        let mut word = start;
+        while word < end {
+            let line = word / self.values_per_line;
+            let next = ((line + 1) * self.values_per_line).min(end);
+            let hit = self.touch(line);
+            f(self, hit, (next - word) as u64);
+            word = next;
+        }
+    }
+
     /// Invalidates every line (e.g. between kernels).
     pub fn flush(&mut self) {
         self.tags.fill(usize::MAX);
@@ -309,5 +361,78 @@ mod associativity_tests {
     #[should_panic(expected = "invalid associativity")]
     fn zero_ways_rejected() {
         let _ = SimConfig::paper().with_cache_ways(0);
+    }
+}
+
+#[cfg(test)]
+mod run_tests {
+    use super::*;
+    use crate::fault::{FaultInjector, FaultPlan};
+    use proptest::prelude::*;
+
+    /// A run of `(is_write, start, len)` word accesses as an ω-wide engine
+    /// issues them: starts chunk-aligned or skewed across a line boundary,
+    /// lengths up to ω (shorter for a padded tail).
+    type Run = (bool, usize, usize);
+
+    fn cases() -> impl Strategy<Value = (usize, Vec<Run>)> {
+        (0usize..3, 0usize..3).prop_flat_map(|(o, w)| {
+            let (omega, ways) = ([4, 8, 16][o], [1, 2, 4][w]);
+            let run = (0u8..2, 0usize..256, 0..omega, 0..=omega)
+                .prop_map(move |(write, chunk, skew, len)| (write == 1, chunk * omega + skew, len));
+            (Just(ways), proptest::collection::vec(run, 1..64))
+        })
+    }
+
+    /// Replays `runs` on a fresh cache, per word or per run; returns the
+    /// cache, each read run's "any word missed" flag, and the injector.
+    fn replay(
+        ways: usize,
+        plan: Option<FaultPlan>,
+        runs: &[Run],
+        per_word: bool,
+    ) -> (LocalCache, Vec<bool>, Option<FaultInjector>) {
+        let mut cache = LocalCache::new(&SimConfig::paper().with_cache_ways(ways));
+        let inj = plan.map(FaultInjector::new);
+        cache.attach_injector(inj.clone());
+        let mut missed = Vec::new();
+        for &(write, start, len) in runs {
+            match (write, per_word) {
+                (true, true) => (start..start + len).for_each(|w| {
+                    cache.write(w);
+                }),
+                (true, false) => cache.write_run(start, len),
+                (false, true) => {
+                    // Every word is read: no short-circuit on the first miss.
+                    let hits: Vec<bool> = (start..start + len).map(|w| cache.read(w).hit).collect();
+                    missed.push(hits.contains(&false));
+                }
+                (false, false) => missed.push(cache.read_run(start, len)),
+            }
+        }
+        (cache, missed, inj)
+    }
+
+    proptest! {
+        #[test]
+        fn run_accounting_matches_the_per_word_loop(
+            (ways, runs) in cases(),
+            seed in 0u64..u64::MAX,
+        ) {
+            let plans = [None, Some(FaultPlan::inert(seed).with_cache_fault_rate(0.25))];
+            for plan in plans {
+                let (word, word_missed, word_inj) = replay(ways, plan.clone(), &runs, true);
+                let (run, run_missed, run_inj) = replay(ways, plan, &runs, false);
+                prop_assert_eq!(&word.tags, &run.tags, "tag/LRU state");
+                prop_assert_eq!(word.hits(), run.hits());
+                prop_assert_eq!(word.misses(), run.misses());
+                prop_assert_eq!(word.writes(), run.writes());
+                prop_assert_eq!(word_missed, run_missed);
+                prop_assert_eq!(
+                    word_inj.map(|i| i.counters()),
+                    run_inj.map(|i| i.counters())
+                );
+            }
+        }
     }
 }

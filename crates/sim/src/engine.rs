@@ -23,7 +23,7 @@
 //! a chunk miss consumes memory bandwidth but no exposed latency; cache
 //! access time is tracked separately for the Figure 18 analysis.
 
-use alrescha_sparse::{alf::AlfLayout, Alf, BlockKind};
+use alrescha_sparse::{alf::AlfLayout, Alf, AlfBlock, BlockKind};
 
 use crate::buffers::{Fifo, LinkStack};
 use crate::cache::LocalCache;
@@ -213,6 +213,119 @@ struct RunState {
     telemetry_armed: bool,
     trace_base: usize,
     t0_ns: u64,
+    lanes: Lanes,
+}
+
+/// ω-wide host buffers reused by every block of a run, so the block loops
+/// allocate nothing.
+#[derive(Debug)]
+struct Lanes {
+    /// A payload row in logical column order (reversed blocks only), or
+    /// the value lanes of a CSR chunk.
+    row: Vec<f64>,
+    /// A derived row: the D-PR indicator, the rotated D-SymGS row, or the
+    /// gathered operand of a CSR chunk.
+    aux: Vec<f64>,
+    /// One result per lane row of the current block.
+    out: Vec<f64>,
+}
+
+/// How the FCU turns a logical payload row and the operand chunk into one
+/// lane result.
+#[derive(Clone, Copy)]
+enum Compute<'f> {
+    /// Multiply, sum-reduce (GEMV).
+    Mac,
+    /// Structure-only multiply-accumulate: every non-zero slot counts as 1
+    /// (the D-PR gather of already damped and divided shares).
+    Indicator,
+    /// `op(weight, operand)` over the non-zero slots, min-reduce (D-BFS,
+    /// D-SSSP, connected components).
+    MinPlus(&'f dyn Fn(f64, f64) -> f64),
+}
+
+/// The per-kernel constants of a pass through [`Engine::exec_block`].
+struct Pass<'f> {
+    kind: DataPathKind,
+    compute: Compute<'f>,
+    /// Logical length of the operand vector in region X.
+    cols: usize,
+    /// Graph data paths compute only the destination lanes below this
+    /// bound; GEMV (`None`) computes every lane.
+    rows: Option<usize>,
+    /// SpMV checks the budget per block; the other kernels check it per
+    /// block row or per round, outside `exec_block`.
+    budget_per_block: bool,
+}
+
+/// One unit of work for [`Engine::exec_block`].
+enum Unit<'a> {
+    /// A locally-dense block and the ω-chunk of the operand at its block
+    /// column (borrowed, or a padded or snapshot copy).
+    Block(&'a AlfBlock, &'a [f64]),
+    /// A CSR row chunk of at most ω `(column, value)` pairs gathered from
+    /// the operand `x`; not traced (there is no ALF block to name).
+    Csr(&'a [(usize, f64)], &'a [f64]),
+}
+
+/// Row `i` of `block` in logical column order: borrowed straight from the
+/// payload when the block streams left to right, otherwise copied into
+/// `scratch` (the FCU's sequential sum must see logical order to stay
+/// bit-identical).
+fn logical_row<'a>(block: &'a AlfBlock, i: usize, scratch: &'a mut [f64]) -> &'a [f64] {
+    if !block.reversed() {
+        return block.row(i);
+    }
+    for (slot, v) in scratch.iter_mut().zip(block.row(i).iter().rev()) {
+        *slot = *v;
+    }
+    scratch
+}
+
+/// The ω-chunk of `src` at `start` (ω = `pad.len()`): borrowed when it
+/// lies in range, else copied into `pad` with zeros past the end of `src`.
+fn operand_chunk<'a>(src: &'a [f64], start: usize, pad: &'a mut [f64]) -> &'a [f64] {
+    if let Some(chunk) = src.get(start..start + pad.len()) {
+        return chunk;
+    }
+    let tail = src.get(start..).unwrap_or(&[]);
+    pad[..tail.len()].copy_from_slice(tail);
+    pad[tail.len()..].fill(0.0);
+    pad
+}
+
+fn expect_len(expected: usize, found: usize) -> Result<()> {
+    if expected == found {
+        Ok(())
+    } else {
+        Err(SimError::DimensionMismatch { expected, found })
+    }
+}
+
+fn expect_layout(a: &Alf, layout: AlfLayout) -> Result<()> {
+    let name = |l| match l {
+        AlfLayout::Streaming => "streaming",
+        AlfLayout::SymGs => "symgs",
+    };
+    if a.layout() == layout {
+        Ok(())
+    } else {
+        Err(SimError::LayoutMismatch {
+            expected: name(layout),
+            found: name(a.layout()),
+        })
+    }
+}
+
+fn expect_relaxation(omega_relax: f64) -> Result<()> {
+    if omega_relax > 0.0 && omega_relax < 2.0 {
+        Ok(())
+    } else {
+        Err(SimError::DimensionMismatch {
+            expected: 1,
+            found: 0,
+        })
+    }
 }
 
 // Word-address regions for the cached vector operands.
@@ -386,7 +499,9 @@ impl Engine {
         &self.config
     }
 
-    fn begin(&mut self, reduce: Reduce) -> RunState {
+    /// Opens a run of `kernel`: flushes the cache, snapshots the counters
+    /// the report diffs against, and records `KernelBegin`.
+    fn begin(&mut self, kernel: &'static str, reduce: Reduce) -> RunState {
         self.cache.flush();
         let telemetry_armed = self
             .telemetry
@@ -403,7 +518,8 @@ impl Engine {
         let fill = self.fcu.fill_latency(reduce);
         let mut memory = MemoryStream::new(&self.config);
         memory.attach_injector(self.faults.clone());
-        RunState {
+        let omega = self.config.omega;
+        let state = RunState {
             cycles: fill,
             memory,
             cache_busy: 0,
@@ -425,6 +541,33 @@ impl Engine {
             telemetry_armed,
             trace_base,
             t0_ns,
+            lanes: Lanes {
+                row: vec![0.0; omega],
+                aux: vec![0.0; omega],
+                out: vec![0.0; omega],
+            },
+        };
+        self.trace
+            .record(crate::trace::TraceEvent::KernelBegin { kernel });
+        state
+    }
+
+    /// Wires the RCU for `kind` at kernel start and records the
+    /// reconfiguration.
+    fn wire(&mut self, kind: DataPathKind, reduce: Reduce) {
+        let exposed = self.rcu.configure(kind, self.fcu.drain(reduce));
+        self.trace_reconfigure(kind, exposed);
+    }
+
+    /// Rejects a matrix packed for another block width.
+    fn expect_omega(&self, a: &Alf) -> Result<()> {
+        if a.omega() == self.config.omega {
+            Ok(())
+        } else {
+            Err(SimError::BlockWidthMismatch {
+                engine: self.config.omega,
+                matrix: a.omega(),
+            })
         }
     }
 
@@ -600,13 +743,7 @@ impl Engine {
         if valid == 0 {
             return;
         }
-        let mut missed = false;
-        for k in 0..valid {
-            let access = self.cache.read(region + chunk_start + k);
-            if !access.hit {
-                missed = true;
-            }
-        }
+        let missed = self.cache.read_run(region + chunk_start, valid);
         state.cache_busy += valid.div_ceil(self.config.values_per_line()) as u64;
         if missed {
             state.memory.stream_values(valid);
@@ -620,54 +757,161 @@ impl Engine {
         if valid == 0 {
             return;
         }
-        for k in 0..valid {
-            self.cache.write(region + chunk_start + k);
-        }
+        self.cache.write_run(region + chunk_start, valid);
         state.cache_busy += valid.div_ceil(self.config.values_per_line()) as u64;
     }
 
-    fn operand_slice(x: &[f64], start: usize, omega: usize) -> Vec<f64> {
-        (0..omega)
-            .map(|k| x.get(start + k).copied().unwrap_or(0.0))
-            .collect()
+    /// Result write-back: one chunked pass over the `n`-vector in region X
+    /// through the cache and out.
+    fn write_back(&mut self, state: &mut RunState, n: usize) {
+        for chunk in (0..n).step_by(self.config.omega) {
+            self.write_chunk(state, REGION_X, chunk, n);
+        }
     }
 
-    /// Computes the ω dot products of one GEMV block through the FCU.
+    /// Charges one block to its data path's breakdown bucket and block
+    /// count. The data path overlaps the payload stream, so the block
+    /// costs the larger of the memory and compute cycles, which this
+    /// returns.
+    fn charge(state: &mut RunState, kind: DataPathKind, mem: u64, compute: u64) -> u64 {
+        let cycles = mem.max(compute);
+        state.cycles += cycles;
+        let (time, count) = (&mut state.breakdown, &mut state.counts);
+        let (bucket, blocks) = match kind {
+            DataPathKind::Gemv => (&mut time.gemv_cycles, &mut count.gemv_blocks),
+            DataPathKind::DSymGs => (&mut time.dsymgs_cycles, &mut count.dsymgs_blocks),
+            DataPathKind::DPr | DataPathKind::DBfs | DataPathKind::DSssp => {
+                (&mut time.graph_cycles, &mut count.graph_blocks)
+            }
+        };
+        *bucket += cycles;
+        *blocks += 1;
+        cycles
+    }
+
+    /// Executes one block through the one skeleton every GEMV, D-PR,
+    /// min-plus, and CSR-chunk block runs (only the D-SymGS recurrence of
+    /// the sweep has its own). In order: the budget check (per block for
+    /// SpMV only), the trace, the payload stream, the operand fetch, cycle
+    /// and breakdown charging, and — for GEMV blocks — publication of the
+    /// cycle to the fault injector. The FCU then computes one result per
+    /// lane row into a reused buffer, `commit` consumes them, and the block
+    /// end is recorded. CSR chunks are not traced.
     ///
-    /// With a fault injector armed, the partial sums are verified against
-    /// the block's ABFT column-sum checksum — Σᵢ dotᵢ must equal
-    /// (Σᵢ rowᵢ)·x up to rounding, with the checksum vector computed from
-    /// the pristine payload at format-programming time — and the block is
+    /// Payload rows reach the FCU borrowed from the block; only reversed
+    /// blocks are copied, into a reused logical-order row. With a fault
+    /// injector attached, GEMV blocks take [`Engine::gemv_abft`] instead.
+    fn exec_block(
+        &mut self,
+        state: &mut RunState,
+        pass: &Pass<'_>,
+        unit: Unit<'_>,
+        commit: impl FnOnce(&mut Self, &mut RunState, &[f64]) -> Result<()>,
+    ) -> Result<()> {
+        let omega = self.config.omega;
+        if pass.budget_per_block {
+            self.check_budget(state)?;
+        }
+        let mut out = std::mem::take(&mut state.lanes.out);
+        match unit {
+            Unit::Block(block, operand) => {
+                let (br, bc) = (block.block_row(), block.block_col());
+                let gemv = pass.kind == DataPathKind::Gemv;
+                self.trace_block(br, bc, pass.kind);
+                let (mem, stuck) = if gemv {
+                    state.memory.stream_block(br, bc, omega * omega)
+                } else {
+                    (state.memory.stream_values(omega * omega), None)
+                };
+                self.read_chunk(state, REGION_X, bc * omega, pass.cols);
+                let cycles = Self::charge(state, pass.kind, mem, omega as u64);
+                if gemv {
+                    self.publish_cycle(state);
+                }
+                let rows = pass
+                    .rows
+                    .map_or(omega, |n| omega.min(n.saturating_sub(br * omega)));
+                if gemv && self.faults.is_some() {
+                    self.gemv_abft(state, block, operand, stuck, &mut out)?;
+                } else {
+                    let Lanes {
+                        row: scratch, aux, ..
+                    } = &mut state.lanes;
+                    for (i, slot) in out.iter_mut().enumerate().take(rows) {
+                        let row = logical_row(block, i, scratch);
+                        *slot = match pass.compute {
+                            Compute::Mac => self.fcu.mac_row(row, operand),
+                            Compute::Indicator => {
+                                for (a, v) in aux.iter_mut().zip(row) {
+                                    *a = if *v == 0.0 { 0.0 } else { 1.0 };
+                                }
+                                self.fcu.mac_row(aux, operand)
+                            }
+                            Compute::MinPlus(op) => self.fcu.min_reduce_row(row, operand, op),
+                        };
+                    }
+                }
+                commit(self, state, &out[..rows])?;
+                self.note_block_end(cycles);
+            }
+            Unit::Csr(chunk, x) => {
+                // Values (8 B) + column indices (4 B) per element, padded
+                // to the ω-lane issue width.
+                let payload = chunk.len() + chunk.len().div_ceil(2);
+                let mem = state.memory.stream_values(payload.max(1));
+                // Irregular gather: every element is its own cache access,
+                // no chunk reuse guarantee.
+                for &(c, _) in chunk {
+                    if !self.cache.read(c).hit {
+                        state.memory.stream_values(self.config.values_per_line());
+                    }
+                }
+                let gathered = chunk.len() as u64;
+                state.cache_busy += gathered;
+                Self::charge(state, pass.kind, mem, gathered.max(1));
+                // One ω-wide FCU pass, lanes beyond the chunk idle.
+                let Lanes { row, aux, .. } = &mut state.lanes;
+                row.fill(0.0);
+                aux.fill(0.0);
+                for (k, &(c, v)) in chunk.iter().enumerate() {
+                    row[k] = v;
+                    aux[k] = x[c];
+                }
+                out[0] = self.fcu.mac_row(row, aux);
+                commit(self, state, &out[..1])?;
+            }
+        }
+        state.lanes.out = out;
+        Ok(())
+    }
+
+    /// The fault-armed ABFT path of a GEMV block, taken only while a fault
+    /// injector is attached.
+    ///
+    /// The ω dots are verified against the block's column-sum checksum —
+    /// Σᵢ dotᵢ must equal (Σᵢ rowᵢ)·x up to rounding, with the checksum
+    /// vector computed from the pristine payload — and the block is
     /// re-executed (re-stream + recompute + backoff stall) under the
     /// engine's [`RecoveryPolicy`] when the check trips. `stuck` is a
     /// permanent payload corruption reported by the memory stream; it
     /// re-applies on every retry, so it exhausts the retry budget and
     /// surfaces as [`SimError::FaultDetected`] at [`FaultSite::Memory`].
-    ///
-    /// Without an injector this is a plain, checksum-free block execution,
-    /// bit- and cycle-identical to the historical code path.
-    fn gemv_block_checked(
+    fn gemv_abft(
         &mut self,
         state: &mut RunState,
-        block: &alrescha_sparse::AlfBlock,
+        block: &AlfBlock,
         operand: &[f64],
         stuck: Option<(usize, u32)>,
-    ) -> Result<Vec<f64>> {
+        dots: &mut [f64],
+    ) -> Result<()> {
         let omega = self.config.omega;
-        let Some(inj) = self.faults.clone() else {
-            let mut dots = Vec::with_capacity(omega);
-            for i in 0..omega {
-                let logical: Vec<f64> = (0..omega).map(|j| block.get(i, j)).collect();
-                dots.push(self.fcu.mac_row(&logical, operand));
-            }
-            return Ok(dots);
-        };
-
         let mut chk = vec![0.0; omega];
         let mut chk_abs = vec![0.0; omega];
         for i in 0..omega {
-            for j in 0..omega {
-                let v = block.get(i, j);
+            for (j, v) in logical_row(block, i, &mut state.lanes.row)
+                .iter()
+                .enumerate()
+            {
                 chk[j] += v;
                 chk_abs[j] += v.abs();
             }
@@ -682,84 +926,153 @@ impl Engine {
             });
         }
         let tol = 1e-9 * scale;
-
-        let max_retries = self.recovery.max_retries();
         let site = if stuck.is_some() {
             FaultSite::Memory
         } else {
             FaultSite::FcuLane
         };
-        let mut attempt = 0u32;
-        let mut caught = 0u64;
-        let mut recovering = false;
-        let mut redo_total = 0u64;
-        let outcome = loop {
-            inj.begin_scope();
-            if stuck.is_some() {
-                inj.note_stuck_applied();
-            }
-            inj.set_fcu_armed(true);
-            let mut dots = Vec::with_capacity(omega);
-            for i in 0..omega {
-                let mut logical: Vec<f64> = (0..omega).map(|j| block.get(i, j)).collect();
-                if let Some((word, bit)) = stuck {
-                    if word / omega == i {
-                        logical[word % omega] = fault::flip_bit(logical[word % omega], bit);
+        self.with_recovery(
+            state,
+            site,
+            |eng, state| {
+                if let Some(inj) = &eng.faults {
+                    if stuck.is_some() {
+                        inj.note_stuck_applied();
                     }
+                    inj.set_fcu_armed(true);
                 }
-                dots.push(self.fcu.mac_row(&logical, operand));
+                for (i, dot) in dots.iter_mut().enumerate() {
+                    let Lanes { row, aux, .. } = &mut state.lanes;
+                    let mut row = logical_row(block, i, row);
+                    if let Some((word, bit)) = stuck.filter(|&(word, _)| word / omega == i) {
+                        aux.copy_from_slice(row);
+                        aux[word % omega] = fault::flip_bit(aux[word % omega], bit);
+                        row = aux;
+                    }
+                    *dot = eng.fcu.mac_row(row, operand);
+                }
+                if let Some(inj) = &eng.faults {
+                    inj.set_fcu_armed(false);
+                }
+                let actual: f64 = dots.iter().sum();
+                (actual.is_finite() && (actual - expected).abs() <= tol).then_some(())
+            },
+            |eng, state| {
+                // Retry from checkpoint: re-stream the payload, re-run the
+                // ω rows, and pay the policy's backoff stall.
+                let re_mem = state.memory.stream_values(omega * omega);
+                let redo = re_mem.max(omega as u64) + eng.recovery.backoff_cycles();
+                state.cycles += redo;
+                state.breakdown.recovery_cycles += redo;
+                eng.publish_cycle(state);
+                redo
+            },
+        )
+    }
+
+    /// Runs `attempt` under the engine's [`RecoveryPolicy`] until its check
+    /// passes (`Some`). Each attempt opens a fresh injector scope; a failed
+    /// check confirms the scope's pending faults as detected at `site`,
+    /// and each retry runs `redo`, which charges its own cycles and
+    /// returns them. Without an injector the first attempt always passes.
+    fn with_recovery<T>(
+        &mut self,
+        state: &mut RunState,
+        site: FaultSite,
+        mut attempt: impl FnMut(&mut Self, &mut RunState) -> Option<T>,
+        mut redo: impl FnMut(&mut Self, &mut RunState) -> u64,
+    ) -> Result<T> {
+        use crate::trace::TraceEvent;
+        let (mut retries, mut caught, mut redo_total) = (0u32, 0u64, 0u64);
+        loop {
+            if let Some(inj) = &self.faults {
+                inj.begin_scope();
             }
-            inj.set_fcu_armed(false);
-            let actual: f64 = dots.iter().sum();
-            if actual.is_finite() && (actual - expected).abs() <= tol {
-                if caught > 0 {
-                    inj.note_recovered(caught);
+            if let Some(value) = attempt(self, state) {
+                if let Some(inj) = &self.faults {
+                    if caught > 0 {
+                        inj.note_recovered(caught);
+                    }
+                    // Faults that slipped past the check stay injected-only.
+                    inj.begin_scope();
                 }
-                if recovering {
-                    self.trace.record(crate::trace::TraceEvent::RecoveryEnd {
+                if retries > 0 {
+                    self.trace.record(TraceEvent::RecoveryEnd {
                         recovered: true,
                         cycles: redo_total,
                     });
                 }
-                // Faults that slipped past the checksum stay injected-only.
-                inj.begin_scope();
-                break Ok(dots);
+                return Ok(value);
             }
-            let newly = inj.confirm_detected();
+            let newly = self
+                .faults
+                .as_ref()
+                .map_or(0, FaultInjector::confirm_detected);
             caught += newly;
             if newly > 0 {
-                self.trace
-                    .record(crate::trace::TraceEvent::FaultInjected { site });
+                self.trace.record(TraceEvent::FaultInjected { site });
             }
-            if attempt >= max_retries {
-                if recovering {
-                    self.trace.record(crate::trace::TraceEvent::RecoveryEnd {
+            if retries >= self.recovery.max_retries() {
+                if retries > 0 {
+                    self.trace.record(TraceEvent::RecoveryEnd {
                         recovered: false,
                         cycles: redo_total,
                     });
                 }
-                break Err(SimError::FaultDetected {
+                return Err(SimError::FaultDetected {
                     site,
                     cycle: state.cycles,
                 });
             }
-            if !recovering {
-                recovering = true;
-                self.trace
-                    .record(crate::trace::TraceEvent::RecoveryBegin { site });
+            if retries == 0 {
+                self.trace.record(TraceEvent::RecoveryBegin { site });
             }
-            attempt += 1;
-            inj.note_retry();
-            // Retry from checkpoint: re-stream the payload, re-run the ω
-            // rows, and pay the policy's backoff stall.
-            let re_mem = state.memory.stream_values(omega * omega);
-            let redo = re_mem.max(omega as u64) + self.recovery.backoff_cycles();
-            state.cycles += redo;
-            state.breakdown.recovery_cycles += redo;
-            redo_total += redo;
-            self.publish_cycle(state);
-        };
-        outcome
+            retries += 1;
+            if let Some(inj) = &self.faults {
+                inj.note_retry();
+            }
+            redo_total += redo(self, state);
+        }
+    }
+
+    /// A retry's backoff stall, charged to the recovery bucket.
+    fn backoff(&mut self, state: &mut RunState) -> u64 {
+        let stall = self.recovery.backoff_cycles();
+        state.cycles += stall;
+        state.breakdown.recovery_cycles += stall;
+        stall
+    }
+
+    /// Pushes a GEMV block's ω dots onto the link stack. Entries can be
+    /// dropped in flight; the occupancy check (the stack grew by fewer than
+    /// ω entries) rolls the attempt back and retries under the policy.
+    fn push_link(
+        &mut self,
+        state: &mut RunState,
+        stack: &mut LinkStack<(usize, f64)>,
+        dots: &[f64],
+    ) -> Result<()> {
+        self.with_recovery(
+            state,
+            FaultSite::RcuLifo,
+            |eng, _| {
+                let before = stack.len();
+                for (i, dot) in dots.iter().enumerate() {
+                    if !eng.rcu.link_push_event() {
+                        stack.push((i, *dot));
+                    }
+                }
+                if stack.len() - before == dots.len() {
+                    return Some(());
+                }
+                // Roll back this attempt's (LIFO-ordered) pushes.
+                while stack.len() > before {
+                    let _ = stack.pop();
+                }
+                None
+            },
+            Self::backoff,
+        )
     }
 
     /// Runs SpMV (`y = A·x`) over a [`AlfLayout::Streaming`] matrix.
@@ -769,72 +1082,92 @@ impl Engine {
     /// * [`SimError::LayoutMismatch`] if `a` was built for SymGS.
     /// * [`SimError::DimensionMismatch`] if `x.len() != a.cols()`.
     pub fn run_spmv(&mut self, a: &Alf, x: &[f64]) -> Result<(Vec<f64>, ExecutionReport)> {
-        if a.layout() != AlfLayout::Streaming {
-            return Err(SimError::LayoutMismatch {
-                expected: "streaming",
-                found: "symgs",
-            });
-        }
-        if x.len() != a.cols() {
-            return Err(SimError::DimensionMismatch {
-                expected: a.cols(),
-                found: x.len(),
-            });
-        }
+        expect_layout(a, AlfLayout::Streaming)?;
+        expect_len(a.cols(), x.len())?;
+        self.expect_omega(a)?;
         let omega = self.config.omega;
-        if a.omega() != omega {
-            return Err(SimError::BlockWidthMismatch {
-                engine: omega,
-                matrix: a.omega(),
-            });
-        }
-
-        let mut state = self.begin(Reduce::Sum);
-        self.trace
-            .record(crate::trace::TraceEvent::KernelBegin { kernel: "spmv" });
+        let mut state = self.begin("spmv", Reduce::Sum);
+        self.wire(DataPathKind::Gemv, Reduce::Sum);
+        let pass = Pass {
+            kind: DataPathKind::Gemv,
+            compute: Compute::Mac,
+            cols: a.cols(),
+            rows: None,
+            budget_per_block: true,
+        };
         let mut y = vec![0.0; a.rows()];
-        let exposed = self
-            .rcu
-            .configure(DataPathKind::Gemv, self.fcu.drain(Reduce::Sum));
-        self.trace_reconfigure(DataPathKind::Gemv, exposed);
-
+        let mut pad = vec![0.0; omega];
         for block in a.blocks() {
-            self.check_budget(&state)?;
             let row_base = block.block_row() * omega;
-            let col_base = block.block_col() * omega;
-            self.trace_block(block.block_row(), block.block_col(), DataPathKind::Gemv);
-            let (mem, stuck) = {
-                let (payload, stuck) =
-                    state
-                        .memory
-                        .stream_block(block.block_row(), block.block_col(), omega * omega);
-                self.read_chunk(&mut state, REGION_X, col_base, a.cols());
-                (payload, stuck)
-            };
-            let compute = omega as u64;
-            let block_cycles = mem.max(compute);
-            state.cycles += block_cycles;
-            state.breakdown.gemv_cycles += block_cycles;
-            state.counts.gemv_blocks += 1;
-            self.publish_cycle(&state);
-
-            let operand = Self::operand_slice(x, col_base, omega);
-            let dots = self.gemv_block_checked(&mut state, block, &operand, stuck)?;
-            self.note_block_end(block_cycles);
-            for (i, dot) in dots.into_iter().enumerate() {
-                if row_base + i < y.len() {
-                    y[row_base + i] += dot;
-                }
-            }
+            let operand = operand_chunk(x, block.block_col() * omega, &mut pad);
+            self.exec_block(
+                &mut state,
+                &pass,
+                Unit::Block(block, operand),
+                |_, _, dots| {
+                    for (yi, dot) in y.iter_mut().skip(row_base).zip(dots) {
+                        *yi += dot;
+                    }
+                    Ok(())
+                },
+            )?;
         }
+        self.write_back(&mut state, a.rows());
+        state.memory.record_bytes(a.rows() as u64 * 8);
+        let report = self.finish("spmv", state, Reduce::Sum);
+        Ok((y, report))
+    }
 
-        // Result write-back: one pass over y through the cache and out.
-        for chunk in (0..a.rows()).step_by(omega) {
-            self.write_chunk(&mut state, REGION_X, chunk, a.rows());
+    /// Runs SpMV streaming the matrix in *CSR* instead of the locally-dense
+    /// format — the ALRESCHA-minus-its-format ablation.
+    ///
+    /// The same FCU/RCU hardware now pays for what the format otherwise
+    /// eliminates: column indices and row pointers stream alongside the
+    /// values (12 bytes per non-zero instead of dense 8-byte payload), the
+    /// vector operand is gathered per element through the cache with no
+    /// chunk locality, and rows shorter than ω leave ALU lanes idle. This
+    /// quantifies the paper's "NOT transferring meta-data" row of Table 2
+    /// on otherwise identical hardware.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::DimensionMismatch`] if `x.len() != a.cols()`.
+    pub fn run_spmv_csr(
+        &mut self,
+        a: &alrescha_sparse::Csr,
+        x: &[f64],
+    ) -> Result<(Vec<f64>, ExecutionReport)> {
+        expect_len(a.cols(), x.len())?;
+        let omega = self.config.omega;
+        let mut state = self.begin("spmv-csr", Reduce::Sum);
+        self.rcu
+            .configure(DataPathKind::Gemv, self.fcu.drain(Reduce::Sum));
+        let pass = Pass {
+            kind: DataPathKind::Gemv,
+            compute: Compute::Mac,
+            cols: x.len(),
+            rows: None,
+            budget_per_block: false,
+        };
+        let mut y = vec![0.0; a.rows()];
+        // Row pointers stream once (4 bytes each).
+        state.memory.record_bytes((a.rows() as u64 + 1) * 4);
+        let mut row = Vec::new();
+        for (r, yr) in y.iter_mut().enumerate() {
+            self.check_budget(&state)?;
+            row.clear();
+            row.extend(a.row_entries(r));
+            let mut acc = 0.0;
+            for chunk in row.chunks(omega) {
+                self.exec_block(&mut state, &pass, Unit::Csr(chunk, x), |_, _, out| {
+                    acc += out[0];
+                    Ok(())
+                })?;
+            }
+            *yr = acc;
         }
         state.memory.record_bytes(a.rows() as u64 * 8);
-
-        let report = self.finish("spmv", state, Reduce::Sum);
+        let report = self.finish("spmv-csr", state, Reduce::Sum);
         Ok((y, report))
     }
 
@@ -852,7 +1185,7 @@ impl Engine {
         b: &[f64],
         x: &mut [f64],
     ) -> Result<ExecutionReport> {
-        self.run_symgs_sweep(a, b, x, false)
+        self.run_sor_sweep(a, b, x, false, 1.0)
     }
 
     /// One backward Gauss-Seidel sweep (block rows and in-block rows in
@@ -867,7 +1200,7 @@ impl Engine {
         b: &[f64],
         x: &mut [f64],
     ) -> Result<ExecutionReport> {
-        self.run_symgs_sweep(a, b, x, true)
+        self.run_sor_sweep(a, b, x, true, 1.0)
     }
 
     /// One symmetric Gauss-Seidel application (forward then backward sweep),
@@ -877,21 +1210,66 @@ impl Engine {
     ///
     /// Same as [`Engine::run_symgs_forward`].
     pub fn run_symgs(&mut self, a: &Alf, b: &[f64], x: &mut [f64]) -> Result<ExecutionReport> {
-        let mut report = self.run_symgs_forward(a, b, x)?;
-        let back = self.run_symgs_backward(a, b, x)?;
-        report.merge(&back, &self.config.clone());
-        report.datapaths.iterations = 1;
-        Ok(report)
+        self.run_ssor(a, b, x, 1.0)
     }
 
-    fn run_symgs_sweep(
+    /// One forward SOR sweep on the device: the D-SymGS data path with the
+    /// RCU's PEs additionally applying the relaxation blend
+    /// `x ← (1−ω_r)·x_old + ω_r·x_gs` (one extra PE operation per row —
+    /// the LUT-based PEs provide exactly these operations, §4.3).
+    ///
+    /// `omega_relax = 1` is identical to [`Engine::run_symgs_forward`].
+    ///
+    /// # Errors
+    ///
+    /// The [`Engine::run_symgs_forward`] conditions, plus
+    /// [`SimError::DimensionMismatch`] for a relaxation factor outside
+    /// `(0, 2)`.
+    pub fn run_sor_forward(
         &mut self,
         a: &Alf,
         b: &[f64],
         x: &mut [f64],
-        backward: bool,
+        omega_relax: f64,
     ) -> Result<ExecutionReport> {
-        self.run_sor_sweep(a, b, x, backward, 1.0)
+        expect_relaxation(omega_relax)?;
+        self.run_sor_sweep(a, b, x, false, omega_relax)
+    }
+
+    /// One backward SOR sweep on the device (rows descending).
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`Engine::run_sor_forward`].
+    pub fn run_sor_backward(
+        &mut self,
+        a: &Alf,
+        b: &[f64],
+        x: &mut [f64],
+        omega_relax: f64,
+    ) -> Result<ExecutionReport> {
+        expect_relaxation(omega_relax)?;
+        self.run_sor_sweep(a, b, x, true, omega_relax)
+    }
+
+    /// One symmetric SOR (SSOR) application on the device: forward then
+    /// backward sweep. `omega_relax = 1` is [`Engine::run_symgs`].
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`Engine::run_sor_forward`].
+    pub fn run_ssor(
+        &mut self,
+        a: &Alf,
+        b: &[f64],
+        x: &mut [f64],
+        omega_relax: f64,
+    ) -> Result<ExecutionReport> {
+        let mut report = self.run_sor_forward(a, b, x, omega_relax)?;
+        let back = self.run_sor_backward(a, b, x, omega_relax)?;
+        report.merge(&back, &self.config);
+        report.datapaths.iterations = 1;
+        Ok(report)
     }
 
     fn run_sor_sweep(
@@ -902,172 +1280,76 @@ impl Engine {
         backward: bool,
         omega_relax: f64,
     ) -> Result<ExecutionReport> {
-        if a.layout() != AlfLayout::SymGs {
-            return Err(SimError::LayoutMismatch {
-                expected: "symgs",
-                found: "streaming",
-            });
-        }
-        if b.len() != a.rows() {
-            return Err(SimError::DimensionMismatch {
-                expected: a.rows(),
-                found: b.len(),
-            });
-        }
-        if x.len() != a.cols() {
-            return Err(SimError::DimensionMismatch {
-                expected: a.cols(),
-                found: x.len(),
-            });
-        }
+        expect_layout(a, AlfLayout::SymGs)?;
+        expect_len(a.rows(), b.len())?;
+        expect_len(a.cols(), x.len())?;
+        self.expect_omega(a)?;
         let omega = self.config.omega;
-        if a.omega() != omega {
-            return Err(SimError::BlockWidthMismatch {
-                engine: omega,
-                matrix: a.omega(),
-            });
-        }
-
-        let mut state = self.begin(Reduce::Sum);
-        self.trace.record(crate::trace::TraceEvent::KernelBegin {
-            kernel: if backward {
-                "symgs-backward"
-            } else {
-                "symgs-forward"
-            },
-        });
+        let kernel = if backward {
+            "symgs-backward"
+        } else {
+            "symgs-forward"
+        };
+        let mut state = self.begin(kernel, Reduce::Sum);
         // The extracted diagonal is loaded into the local cache once per
         // sweep (programming-time traffic, §4.5).
         state.memory.record_bytes(a.diagonal().len() as u64 * 8);
 
+        // Blocks grouped by block row; the stable sort keeps stream order
+        // within a row.
+        let mut by_row: Vec<&AlfBlock> = a.blocks().iter().collect();
+        by_row.sort_by_key(|block| block.block_row());
+        let gemv = Pass {
+            kind: DataPathKind::Gemv,
+            compute: Compute::Mac,
+            cols: a.cols(),
+            rows: None,
+            budget_per_block: false,
+        };
+        // Intermediate GEMV results ride the LIFO link stack to the
+        // D-SymGS data path (Figure 11): one (lane, value) per block row
+        // lane per GEMV block. The right-hand side and the extracted
+        // diagonal arrive through FIFOs (deterministic access order, §4.3).
+        let mut link_stack: LinkStack<(usize, f64)> = LinkStack::new();
+        let (mut b_fifo, mut diag_fifo) = (Fifo::new(), Fifo::new());
+        let mut partial = vec![0.0; omega];
+        let mut pad = vec![0.0; omega];
+        let mut shift_reg = crate::shift::ShiftRegister::load(&partial);
         let block_rows = a.block_rows();
-        let mut order: Vec<usize> = (0..block_rows).collect();
-        if backward {
-            order.reverse();
-        }
-
-        // Index blocks by block row once; within a row keep stream order.
-        let mut per_row: Vec<Vec<&alrescha_sparse::AlfBlock>> = vec![Vec::new(); block_rows];
-        for block in a.blocks() {
-            per_row[block.block_row()].push(block);
-        }
-
-        for &br in &order {
+        for step in 0..block_rows {
+            let br = if backward {
+                block_rows - 1 - step
+            } else {
+                step
+            };
             self.check_budget(&state)?;
             let row_base = br * omega;
-            // Intermediate GEMV results ride the LIFO link stack to the
-            // D-SymGS data path (Figure 11): one (lane, value) per block
-            // row lane per GEMV block.
-            let mut link_stack: LinkStack<(usize, f64)> = LinkStack::new();
-            let mut diag_block: Option<&alrescha_sparse::AlfBlock> = None;
-
-            for block in &per_row[br] {
+            let first = by_row.partition_point(|block| block.block_row() < br);
+            let end = by_row.partition_point(|block| block.block_row() <= br);
+            let mut diag_block = None;
+            for &block in &by_row[first..end] {
                 if block.kind() == BlockKind::Diagonal {
                     diag_block = Some(block);
                     continue;
                 }
                 // GEMV data path on an off-diagonal block.
-                let switched = self.rcu.current() != Some(DataPathKind::Gemv);
-                let exposed = self
-                    .rcu
-                    .configure(DataPathKind::Gemv, self.fcu.drain(Reduce::Sum));
-                if switched {
-                    self.trace_reconfigure(DataPathKind::Gemv, exposed);
+                if self.rcu.current() != Some(DataPathKind::Gemv) {
+                    self.wire(DataPathKind::Gemv, Reduce::Sum);
                 }
-                self.trace_block(block.block_row(), block.block_col(), DataPathKind::Gemv);
-                let col_base = block.block_col() * omega;
-                let (payload_cycles, stuck) =
-                    state
-                        .memory
-                        .stream_block(block.block_row(), block.block_col(), omega * omega);
-                self.read_chunk(&mut state, REGION_X, col_base, a.cols());
-                let block_cycles = payload_cycles.max(omega as u64);
-                state.cycles += block_cycles;
-                state.breakdown.gemv_cycles += block_cycles;
-                state.counts.gemv_blocks += 1;
-                self.publish_cycle(&state);
-
-                let operand = Self::operand_slice(x, col_base, omega);
-                let dots = self.gemv_block_checked(&mut state, block, &operand, stuck)?;
-                // The verified dots ride the link stack; entries can still
-                // be dropped in flight, which the occupancy check below
-                // catches (the stack grew by fewer than ω entries).
-                let mut push_attempt = 0u32;
-                let mut drops_caught = 0u64;
-                let mut push_recovering = false;
-                let mut push_redo = 0u64;
-                loop {
-                    if let Some(inj) = &self.faults {
-                        inj.begin_scope();
-                    }
-                    let before = link_stack.len();
-                    for (i, dot) in dots.iter().enumerate() {
-                        if !self.rcu.link_push_event() {
-                            link_stack.push((i, *dot));
-                        }
-                    }
-                    if link_stack.len() - before == omega {
-                        if drops_caught > 0 {
-                            if let Some(inj) = &self.faults {
-                                inj.note_recovered(drops_caught);
-                            }
-                        }
-                        if push_recovering {
-                            self.trace.record(crate::trace::TraceEvent::RecoveryEnd {
-                                recovered: true,
-                                cycles: push_redo,
-                            });
-                        }
-                        break;
-                    }
-                    let newly = self
-                        .faults
-                        .as_ref()
-                        .map_or(0, FaultInjector::confirm_detected);
-                    drops_caught += newly;
-                    if newly > 0 {
-                        self.trace.record(crate::trace::TraceEvent::FaultInjected {
-                            site: FaultSite::RcuLifo,
-                        });
-                    }
-                    // Roll back this attempt's (LIFO-ordered) pushes.
-                    while link_stack.len() > before {
-                        let _ = link_stack.pop();
-                    }
-                    if push_attempt >= self.recovery.max_retries() {
-                        if push_recovering {
-                            self.trace.record(crate::trace::TraceEvent::RecoveryEnd {
-                                recovered: false,
-                                cycles: push_redo,
-                            });
-                        }
-                        return Err(SimError::FaultDetected {
-                            site: FaultSite::RcuLifo,
-                            cycle: state.cycles,
-                        });
-                    }
-                    if !push_recovering {
-                        push_recovering = true;
-                        self.trace.record(crate::trace::TraceEvent::RecoveryBegin {
-                            site: FaultSite::RcuLifo,
-                        });
-                    }
-                    push_attempt += 1;
-                    if let Some(inj) = &self.faults {
-                        inj.note_retry();
-                    }
-                    state.cycles += self.recovery.backoff_cycles();
-                    state.breakdown.recovery_cycles += self.recovery.backoff_cycles();
-                    push_redo += self.recovery.backoff_cycles();
-                }
-                self.note_block_end(block_cycles);
+                let operand = operand_chunk(x, block.block_col() * omega, &mut pad);
+                self.exec_block(
+                    &mut state,
+                    &gemv,
+                    Unit::Block(block, operand),
+                    |eng, state, dots| eng.push_link(state, &mut link_stack, dots),
+                )?;
             }
 
             // The successive D-SymGS pops the GEMV results off the stack
             // and reduces them per lane (the pops happen in LIFO order —
             // the reverse of the push order, which the reduction is
             // insensitive to because addition commutes).
-            let mut partial = vec![0.0; omega];
+            partial.fill(0.0);
             state.link_stack_peak = state.link_stack_peak.max(link_stack.max_depth());
             while let Some((lane, value)) = link_stack.pop() {
                 partial[lane] += value;
@@ -1083,130 +1365,55 @@ impl Engine {
                     return Err(self.scheduler_stall(&state));
                 }
             }
-            let drain = self.fcu.drain(Reduce::Sum);
-            let switched = self.rcu.current() != Some(DataPathKind::DSymGs);
-            let exposed = self.rcu.configure(DataPathKind::DSymGs, drain);
-            if switched {
-                self.trace_reconfigure(DataPathKind::DSymGs, exposed);
+            if self.rcu.current() != Some(DataPathKind::DSymGs) {
+                self.wire(DataPathKind::DSymGs, Reduce::Sum);
             }
             self.trace_block(br, br, DataPathKind::DSymGs);
             // Switching data paths costs the drain of the in-flight GEMV —
             // unless the overlap-drain ablation forwards through it.
             if !self.config.overlap_drain {
+                let drain = self.fcu.drain(Reduce::Sum);
                 state.cycles += drain;
                 state.breakdown.drain_cycles += drain;
             }
 
             self.read_chunk(&mut state, REGION_B, row_base, a.rows());
             self.read_chunk(&mut state, REGION_DIAG, row_base, a.diagonal().len());
-            // The right-hand side and the extracted diagonal arrive through
-            // FIFOs (deterministic access order, §4.3).
-            let mut b_fifo: Fifo<f64> = Fifo::new();
-            let mut diag_fifo: Fifo<f64> = Fifo::new();
-            let mut fifo_attempt = 0u32;
-            let mut fifo_caught = 0u64;
-            let mut fifo_recovering = false;
-            let mut fifo_redo = 0u64;
-            loop {
-                if let Some(inj) = &self.faults {
-                    inj.begin_scope();
-                }
-                let mut filled = 0usize;
-                for i in 0..omega {
-                    let g = row_base + i;
-                    if g < a.rows() {
-                        if !self.rcu.fifo_push_event() {
+            let lanes = row_base..a.rows().min(row_base + omega);
+            self.with_recovery(
+                &mut state,
+                FaultSite::RcuFifo,
+                |eng, state| {
+                    b_fifo.clear();
+                    diag_fifo.clear();
+                    for g in lanes.clone() {
+                        if !eng.rcu.fifo_push_event() {
                             b_fifo.push(b[g]);
                         }
-                        if !self.rcu.fifo_push_event() {
+                        if !eng.rcu.fifo_push_event() {
                             diag_fifo.push(a.diagonal()[g]);
                         }
-                        filled += 1;
                     }
-                }
-                // Occupancy check: both FIFOs must hold exactly one entry
-                // per valid lane before the recurrence starts.
-                state.operand_fifo_peak = state.operand_fifo_peak.max(b_fifo.len());
-                if b_fifo.len() == filled && diag_fifo.len() == filled {
-                    if fifo_caught > 0 {
-                        if let Some(inj) = &self.faults {
-                            inj.note_recovered(fifo_caught);
-                        }
-                    }
-                    if fifo_recovering {
-                        self.trace.record(crate::trace::TraceEvent::RecoveryEnd {
-                            recovered: true,
-                            cycles: fifo_redo,
-                        });
-                    }
-                    break;
-                }
-                let newly = self
-                    .faults
-                    .as_ref()
-                    .map_or(0, FaultInjector::confirm_detected);
-                fifo_caught += newly;
-                if newly > 0 {
-                    self.trace.record(crate::trace::TraceEvent::FaultInjected {
-                        site: FaultSite::RcuFifo,
-                    });
-                }
-                while b_fifo.pop().is_some() {}
-                while diag_fifo.pop().is_some() {}
-                if fifo_attempt >= self.recovery.max_retries() {
-                    if fifo_recovering {
-                        self.trace.record(crate::trace::TraceEvent::RecoveryEnd {
-                            recovered: false,
-                            cycles: fifo_redo,
-                        });
-                    }
-                    return Err(SimError::FaultDetected {
-                        site: FaultSite::RcuFifo,
-                        cycle: state.cycles,
-                    });
-                }
-                if !fifo_recovering {
-                    fifo_recovering = true;
-                    self.trace.record(crate::trace::TraceEvent::RecoveryBegin {
-                        site: FaultSite::RcuFifo,
-                    });
-                }
-                fifo_attempt += 1;
-                if let Some(inj) = &self.faults {
-                    inj.note_retry();
-                }
-                state.cycles += self.recovery.backoff_cycles();
-                state.breakdown.recovery_cycles += self.recovery.backoff_cycles();
-                fifo_redo += self.recovery.backoff_cycles();
-            }
-            if backward {
-                // The r2l access order of the diagonal block consumes the
-                // operands back to front; drain the FIFOs into reverse
-                // order buffers (the hardware's addressable cache serves
-                // this; the FIFO still sized/counted the traffic).
-            }
+                    // Occupancy check: both FIFOs must hold exactly one
+                    // entry per valid lane before the recurrence starts.
+                    state.operand_fifo_peak = state.operand_fifo_peak.max(b_fifo.len());
+                    (b_fifo.len() == lanes.len() && diag_fifo.len() == lanes.len()).then_some(())
+                },
+                Self::backoff,
+            )?;
 
-            let rows_iter: Box<dyn Iterator<Item = usize>> = if backward {
-                Box::new((0..omega).rev())
-            } else {
-                Box::new(0..omega)
-            };
             // Forward sweeps feed the multipliers from the Figure 10 shift
             // register: lane k starts as x^{t-1}[ω−1−k]; each step pushes
             // the fresh x^t into lane 0. The streamed (reversed) payload
             // row, rotated by the step index, lines each lane up with its
             // logical column. The backward sweep is the mirror-image
             // hardware and uses the addressable cache path directly.
-            let mut shift_reg = if backward {
-                None
-            } else {
-                let initial: Vec<f64> = (0..omega)
-                    .map(|k| x.get(row_base + omega - 1 - k).copied().unwrap_or(0.0))
-                    .collect();
-                Some(crate::shift::ShiftRegister::load(&initial))
-            };
+            if !backward {
+                shift_reg.reload(|k| x.get(row_base + omega - 1 - k).copied().unwrap_or(0.0));
+            }
             let mut steps = 0u64;
-            for i in rows_iter {
+            for step in 0..omega {
+                let i = if backward { omega - 1 - step } else { step };
                 let g = row_base + i;
                 if g >= a.rows() {
                     continue;
@@ -1229,20 +1436,19 @@ impl Engine {
                     // Payload of the diagonal block streams in parallel with
                     // the recurrence; its diagonal slots are zero so the
                     // full ω-wide dot product is safe.
-                    if let Some(reg) = &shift_reg {
-                        // Lane k multiplies streamed slot (k + ω − i)
-                        // mod ω ("rotating the inputs of the
-                        // multipliers", §4.2).
-                        let streamed = block.row(i);
-                        let rotated: Vec<f64> = (0..omega)
-                            .map(|k| streamed[(k + omega - (i % omega)) % omega])
-                            .collect();
-                        sum -= self.fcu.mac_row(&rotated, reg.lanes());
+                    let Lanes { row, aux, .. } = &mut state.lanes;
+                    sum -= if backward {
+                        let operand = operand_chunk(x, row_base, &mut pad);
+                        self.fcu.mac_row(logical_row(block, i, row), operand)
                     } else {
-                        let logical: Vec<f64> = (0..omega).map(|j| block.get(i, j)).collect();
-                        let operand = Self::operand_slice(x, row_base, omega);
-                        sum -= self.fcu.mac_row(&logical, &operand);
-                    }
+                        // Lane k multiplies streamed slot (k + ω − i) mod ω
+                        // ("rotating the inputs of the multipliers", §4.2).
+                        let streamed = block.row(i);
+                        for (k, slot) in aux.iter_mut().enumerate() {
+                            *slot = streamed[(k + omega - i) % omega];
+                        }
+                        self.fcu.mac_row(aux, shift_reg.lanes())
+                    };
                     // Link-stack pop feeding the recurrence.
                     self.rcu.buffer_event();
                 }
@@ -1255,27 +1461,20 @@ impl Engine {
                     let _ = self.rcu.pe_op();
                     x[g] = (1.0 - omega_relax) * x[g] + omega_relax * sum / diag;
                 }
-                if let Some(reg) = &mut shift_reg {
-                    reg.push(x[g]);
+                if !backward {
+                    shift_reg.push(x[g]);
                 }
                 steps += 1;
             }
+            let compute = steps * self.config.dsymgs_step_latency();
             let dsymgs_cycles = if diag_block.is_some() {
-                let payload_cycles = state.memory.stream_values(omega * omega);
-                let compute = steps * self.config.dsymgs_step_latency();
-                let block_cycles = payload_cycles.max(compute);
-                state.cycles += block_cycles;
-                state.breakdown.dsymgs_cycles += block_cycles;
-                state.counts.dsymgs_blocks += 1;
-                block_cycles
-            } else if steps > 0 {
-                // Rows with only an extracted diagonal: pure PE updates.
-                let block_cycles = steps * self.config.dsymgs_step_latency();
-                state.cycles += block_cycles;
-                state.breakdown.dsymgs_cycles += block_cycles;
-                block_cycles
+                let payload = state.memory.stream_values(omega * omega);
+                Self::charge(&mut state, DataPathKind::DSymGs, payload, compute)
             } else {
-                0
+                // Rows with only an extracted diagonal: pure PE updates.
+                state.cycles += compute;
+                state.breakdown.dsymgs_cycles += compute;
+                compute
             };
             self.note_block_end(dsymgs_cycles);
             self.publish_cycle(&state);
@@ -1285,15 +1484,7 @@ impl Engine {
         state.memory.record_bytes(a.rows() as u64 * 8); // x write-back
         state.counts.link_stack_peak = state.link_stack_peak as u64;
         state.counts.operand_fifo_peak = state.operand_fifo_peak as u64;
-        let mut report = self.finish(
-            if backward {
-                "symgs-backward"
-            } else {
-                "symgs-forward"
-            },
-            state,
-            Reduce::Sum,
-        );
+        let mut report = self.finish(kernel, state, Reduce::Sum);
         report.datapaths.iterations = 1;
         Ok(report)
     }
@@ -1331,43 +1522,72 @@ impl Engine {
         kind: DataPathKind,
         weight_of: impl Fn(f64) -> f64,
     ) -> Result<(Vec<f64>, ExecutionReport)> {
-        if at.layout() != AlfLayout::Streaming {
-            return Err(SimError::LayoutMismatch {
-                expected: "streaming",
-                found: "symgs",
-            });
-        }
-        if at.rows() != at.cols() {
-            return Err(SimError::DimensionMismatch {
-                expected: at.rows(),
-                found: at.cols(),
-            });
-        }
+        expect_layout(at, AlfLayout::Streaming)?;
+        expect_len(at.rows(), at.cols())?;
         if source >= at.rows() {
             return Err(SimError::DimensionMismatch {
                 expected: at.rows(),
                 found: source,
             });
         }
-        let omega = self.config.omega;
-        if at.omega() != omega {
-            return Err(SimError::BlockWidthMismatch {
-                engine: omega,
-                matrix: at.omega(),
-            });
-        }
-
-        let n = at.rows();
-        let mut dist = vec![UNREACHED; n];
+        self.expect_omega(at)?;
+        let mut dist = vec![UNREACHED; at.rows()];
         dist[source] = 0.0;
+        let report =
+            self.run_relaxation(at, kernel, kind, &mut dist, &|w, dsrc| weight_of(w) + dsrc)?;
+        Ok((dist, report))
+    }
 
-        let mut state = self.begin(Reduce::Min);
-        self.trace
-            .record(crate::trace::TraceEvent::KernelBegin { kernel });
-        let exposed = self.rcu.configure(kind, self.fcu.drain(Reduce::Min));
-        self.trace_reconfigure(kind, exposed);
+    /// Runs connected components by label propagation over `at`, the
+    /// [`AlfLayout::Streaming`] format of the *symmetrized, transposed*
+    /// adjacency (callers symmetrize; propagation needs both directions).
+    ///
+    /// A new dense data path built from the existing machinery: phase-1
+    /// pass-through of neighbor labels, `min` reduce, compare-and-assign —
+    /// demonstrating the §4.2 claim that Table 1's common phases make new
+    /// kernels cheap to add. Returns the per-vertex component labels.
+    ///
+    /// # Errors
+    ///
+    /// Layout/shape errors as in [`Engine::run_spmv`].
+    pub fn run_connected_components(&mut self, at: &Alf) -> Result<(Vec<usize>, ExecutionReport)> {
+        expect_layout(at, AlfLayout::Streaming)?;
+        expect_len(at.rows(), at.cols())?;
+        self.expect_omega(at)?;
+        let mut label: Vec<f64> = (0..at.rows()).map(|v| v as f64).collect();
+        // Phase 1 passes the neighbor label through untouched.
+        let report = self.run_relaxation(at, "cc", DataPathKind::DBfs, &mut label, &|_w, l| l)?;
+        Ok((label.iter().map(|&l| l as usize).collect(), report))
+    }
+
+    /// The min-plus relaxation rounds behind BFS, SSSP, and connected
+    /// components: every block of `at` offers `op(weight, value[src])` to
+    /// its destination lanes, until a round changes nothing.
+    fn run_relaxation(
+        &mut self,
+        at: &Alf,
+        kernel: &'static str,
+        kind: DataPathKind,
+        values: &mut [f64],
+        op: &dyn Fn(f64, f64) -> f64,
+    ) -> Result<ExecutionReport> {
+        let omega = self.config.omega;
+        let n = at.rows();
+        let mut state = self.begin(kernel, Reduce::Min);
+        self.wire(kind, Reduce::Min);
+        let pass = Pass {
+            kind,
+            compute: Compute::MinPlus(op),
+            cols: n,
+            rows: Some(n),
+            budget_per_block: false,
+        };
+        // The operand is a snapshot copy of the source chunk, never the
+        // live vector: a diagonal block writes the very lanes it reads, and
+        // feeding those writes back into the same block would change the
+        // round count.
+        let (mut snapshot, mut pad) = (vec![0.0; omega], vec![0.0; omega]);
         let mut rounds = 0u64;
-
         loop {
             let mut changed = false;
             rounds += 1;
@@ -1375,45 +1595,39 @@ impl Engine {
             for block in at.blocks() {
                 // Block of Aᵀ: rows are destinations, columns sources.
                 let dst_base = block.block_row() * omega;
-                let src_base = block.block_col() * omega;
-                self.trace_block(block.block_row(), block.block_col(), kind);
-                let payload = state.memory.stream_values(omega * omega);
-                self.read_chunk(&mut state, REGION_X, src_base, n);
-                let block_cycles = payload.max(omega as u64);
-                state.cycles += block_cycles;
-                state.breakdown.graph_cycles += block_cycles;
-                state.counts.graph_blocks += 1;
-                self.note_block_end(block_cycles);
-
-                let operand = Self::operand_slice(&dist, src_base, omega);
-                for i in 0..omega {
-                    let d = dst_base + i;
-                    if d >= n {
-                        continue;
-                    }
-                    let logical: Vec<f64> = (0..omega).map(|j| block.get(i, j)).collect();
-                    let cand = self
-                        .fcu
-                        .min_reduce_row(&logical, &operand, |w, dsrc| weight_of(w) + dsrc);
-                    if cand < dist[d] {
-                        // Phase-3 assign: compare and update (Table 1).
-                        let _ = self.rcu.pe_op();
-                        self.cache.write(REGION_X + d);
-                        state.cache_busy += 1;
-                        dist[d] = cand;
-                        changed = true;
-                    }
-                }
+                snapshot.copy_from_slice(operand_chunk(
+                    values,
+                    block.block_col() * omega,
+                    &mut pad,
+                ));
+                self.exec_block(
+                    &mut state,
+                    &pass,
+                    Unit::Block(block, &snapshot),
+                    |eng, state, cands| {
+                        for (i, &cand) in cands.iter().enumerate() {
+                            let d = dst_base + i;
+                            if cand < values[d] {
+                                // Phase-3 assign: compare and update (Table 1).
+                                let _ = eng.rcu.pe_op();
+                                eng.cache.write(REGION_X + d);
+                                state.cache_busy += 1;
+                                values[d] = cand;
+                                changed = true;
+                            }
+                        }
+                        Ok(())
+                    },
+                )?;
             }
             if !changed || rounds as usize > n {
                 break;
             }
         }
-
         state.memory.record_bytes(n as u64 * 8);
         let mut report = self.finish(kernel, state, Reduce::Min);
         report.datapaths.iterations = rounds;
-        Ok((dist, report))
+        Ok(report)
     }
 
     /// Runs PageRank over the transposed adjacency structure `at`
@@ -1431,47 +1645,30 @@ impl Engine {
         out_degrees: &[usize],
         opts: &PageRankConfig,
     ) -> Result<(Vec<f64>, ExecutionReport)> {
-        if at.layout() != AlfLayout::Streaming {
-            return Err(SimError::LayoutMismatch {
-                expected: "streaming",
-                found: "symgs",
-            });
-        }
-        if at.rows() != at.cols() {
-            return Err(SimError::DimensionMismatch {
-                expected: at.rows(),
-                found: at.cols(),
-            });
-        }
-        if out_degrees.len() != at.rows() {
-            return Err(SimError::DimensionMismatch {
-                expected: at.rows(),
-                found: out_degrees.len(),
-            });
-        }
+        expect_layout(at, AlfLayout::Streaming)?;
+        expect_len(at.rows(), at.cols())?;
+        expect_len(at.rows(), out_degrees.len())?;
+        self.expect_omega(at)?;
         let omega = self.config.omega;
-        if at.omega() != omega {
-            return Err(SimError::BlockWidthMismatch {
-                engine: omega,
-                matrix: at.omega(),
-            });
-        }
-
         let n = at.rows();
-        let mut state = self.begin(Reduce::Sum);
-        self.trace.record(crate::trace::TraceEvent::KernelBegin {
-            kernel: "pagerank",
-        });
-        let exposed = self
-            .rcu
-            .configure(DataPathKind::DPr, self.fcu.drain(Reduce::Sum));
-        self.trace_reconfigure(DataPathKind::DPr, exposed);
+        let mut state = self.begin("pagerank", Reduce::Sum);
+        self.wire(DataPathKind::DPr, Reduce::Sum);
+        let pass = Pass {
+            kind: DataPathKind::DPr,
+            compute: Compute::Indicator,
+            cols: n,
+            rows: Some(n),
+            budget_per_block: false,
+        };
         let mut rank = vec![1.0 / n as f64; n];
+        let mut contrib = vec![0.0; n];
+        let mut next = vec![0.0; n];
+        let mut pad = vec![0.0; omega];
 
         for it in 1..=opts.max_iters {
             self.check_budget(&state)?;
             // Phase-1 division: contribution of every vertex (ω-wide PEs).
-            let mut contrib = vec![0.0; n];
+            contrib.fill(0.0);
             let mut dangling = 0.0;
             for u in 0..n {
                 if out_degrees[u] == 0 {
@@ -1486,39 +1683,26 @@ impl Engine {
             state.breakdown.graph_cycles += div_cycles;
 
             let base = (1.0 - opts.damping) / n as f64 + opts.damping * dangling / n as f64;
-            let mut next = vec![base; n];
+            next.fill(base);
             for block in at.blocks() {
                 let dst_base = block.block_row() * omega;
-                let src_base = block.block_col() * omega;
-                self.trace_block(block.block_row(), block.block_col(), DataPathKind::DPr);
-                let payload = state.memory.stream_values(omega * omega);
-                self.read_chunk(&mut state, REGION_X, src_base, n);
-                let block_cycles = payload.max(omega as u64);
-                state.cycles += block_cycles;
-                state.breakdown.graph_cycles += block_cycles;
-                state.counts.graph_blocks += 1;
-                self.note_block_end(block_cycles);
-
-                let operand = Self::operand_slice(&contrib, src_base, omega);
-                for i in 0..omega {
-                    let d = dst_base + i;
-                    if d >= n {
-                        continue;
-                    }
-                    // Structure-only gather: an edge contributes its
-                    // source's (already damped and divided) share.
-                    let indicator: Vec<f64> = (0..omega)
-                        .map(|j| if block.get(i, j) == 0.0 { 0.0 } else { 1.0 })
-                        .collect();
-                    next[d] += self.fcu.mac_row(&indicator, &operand);
-                }
+                let operand = operand_chunk(&contrib, block.block_col() * omega, &mut pad);
+                self.exec_block(
+                    &mut state,
+                    &pass,
+                    Unit::Block(block, operand),
+                    |_, _, sums| {
+                        for (slot, sum) in next.iter_mut().skip(dst_base).zip(sums) {
+                            *slot += sum;
+                        }
+                        Ok(())
+                    },
+                )?;
             }
-            for chunk in (0..n).step_by(omega) {
-                self.write_chunk(&mut state, REGION_X, chunk, n);
-            }
+            self.write_back(&mut state, n);
 
             let delta: f64 = rank.iter().zip(&next).map(|(a, b)| (a - b).abs()).sum();
-            rank = next;
+            std::mem::swap(&mut rank, &mut next);
             if delta < opts.tol {
                 state.memory.record_bytes(n as u64 * 8);
                 let mut report = self.finish("pagerank", state, Reduce::Sum);
@@ -2089,84 +2273,6 @@ mod trace_tests {
     }
 }
 
-impl Engine {
-    /// Runs SpMV streaming the matrix in *CSR* instead of the locally-dense
-    /// format — the ALRESCHA-minus-its-format ablation.
-    ///
-    /// The same FCU/RCU hardware now pays for what the format otherwise
-    /// eliminates: column indices and row pointers stream alongside the
-    /// values (12 bytes per non-zero instead of dense 8-byte payload), the
-    /// vector operand is gathered per element through the cache with no
-    /// chunk locality, and rows shorter than ω leave ALU lanes idle. This
-    /// quantifies the paper's "NOT transferring meta-data" row of Table 2
-    /// on otherwise identical hardware.
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::DimensionMismatch`] if `x.len() != a.cols()`.
-    pub fn run_spmv_csr(
-        &mut self,
-        a: &alrescha_sparse::Csr,
-        x: &[f64],
-    ) -> Result<(Vec<f64>, ExecutionReport)> {
-        if x.len() != a.cols() {
-            return Err(SimError::DimensionMismatch {
-                expected: a.cols(),
-                found: x.len(),
-            });
-        }
-        let omega = self.config.omega;
-        let mut state = self.begin(Reduce::Sum);
-        self.trace
-            .record(crate::trace::TraceEvent::KernelBegin { kernel: "spmv-csr" });
-        self.rcu
-            .configure(DataPathKind::Gemv, self.fcu.drain(Reduce::Sum));
-
-        let mut y = vec![0.0; a.rows()];
-        // Row pointers stream once (4 bytes each).
-        state.memory.record_bytes((a.rows() as u64 + 1) * 4);
-        for (r, yr) in y.iter_mut().enumerate() {
-            self.check_budget(&state)?;
-            let row: Vec<(usize, f64)> = a.row_entries(r).collect();
-            let mut acc = 0.0;
-            for chunk in row.chunks(omega) {
-                // Values (8 B) + column indices (4 B) per element, padded
-                // to the ω-lane issue width.
-                let payload_values = chunk.len() + chunk.len().div_ceil(2); // 12 B/nnz in 8 B units
-                let mem = state.memory.stream_values(payload_values.max(1));
-                // Irregular gather: every element is its own cache access,
-                // no chunk reuse guarantee.
-                let mut gather_cycles = 0u64;
-                for &(c, _) in chunk {
-                    let access = self.cache.read(c);
-                    if !access.hit {
-                        state.memory.stream_values(self.config.values_per_line());
-                    }
-                    gather_cycles += 1;
-                }
-                state.cache_busy += gather_cycles;
-                // One ω-wide FCU pass per chunk, lanes beyond the chunk idle.
-                let mut lanes = vec![0.0; omega];
-                let mut operand = vec![0.0; omega];
-                for (k, &(c, v)) in chunk.iter().enumerate() {
-                    lanes[k] = v;
-                    operand[k] = x[c];
-                }
-                acc += self.fcu.mac_row(&lanes, &operand);
-                let compute = 1u64.max(gather_cycles);
-                let cycles = mem.max(compute);
-                state.cycles += cycles;
-                state.breakdown.gemv_cycles += cycles;
-                state.counts.gemv_blocks += 1;
-            }
-            *yr = acc;
-        }
-        state.memory.record_bytes(a.rows() as u64 * 8);
-        let report = self.finish("spmv-csr", state, Reduce::Sum);
-        Ok((y, report))
-    }
-}
-
 #[cfg(test)]
 mod csr_mode_tests {
     use super::*;
@@ -2227,97 +2333,6 @@ mod csr_mode_tests {
     }
 }
 
-impl Engine {
-    /// Runs connected components by label propagation over `at`, the
-    /// [`AlfLayout::Streaming`] format of the *symmetrized, transposed*
-    /// adjacency (callers symmetrize; propagation needs both directions).
-    ///
-    /// A new dense data path built from the existing machinery: phase-1
-    /// pass-through of neighbor labels, `min` reduce, compare-and-assign —
-    /// demonstrating the §4.2 claim that Table 1's common phases make new
-    /// kernels cheap to add. Returns the per-vertex component labels.
-    ///
-    /// # Errors
-    ///
-    /// Layout/shape errors as in [`Engine::run_spmv`].
-    pub fn run_connected_components(&mut self, at: &Alf) -> Result<(Vec<usize>, ExecutionReport)> {
-        if at.layout() != AlfLayout::Streaming {
-            return Err(SimError::LayoutMismatch {
-                expected: "streaming",
-                found: "symgs",
-            });
-        }
-        if at.rows() != at.cols() {
-            return Err(SimError::DimensionMismatch {
-                expected: at.rows(),
-                found: at.cols(),
-            });
-        }
-        let omega = self.config.omega;
-        if at.omega() != omega {
-            return Err(SimError::BlockWidthMismatch {
-                engine: omega,
-                matrix: at.omega(),
-            });
-        }
-
-        let n = at.rows();
-        let mut label: Vec<f64> = (0..n).map(|v| v as f64).collect();
-        let mut state = self.begin(Reduce::Min);
-        self.trace
-            .record(crate::trace::TraceEvent::KernelBegin { kernel: "cc" });
-        let exposed = self
-            .rcu
-            .configure(DataPathKind::DBfs, self.fcu.drain(Reduce::Min));
-        self.trace_reconfigure(DataPathKind::DBfs, exposed);
-        let mut rounds = 0u64;
-
-        loop {
-            let mut changed = false;
-            rounds += 1;
-            self.check_budget(&state)?;
-            for block in at.blocks() {
-                let dst_base = block.block_row() * omega;
-                let src_base = block.block_col() * omega;
-                self.trace_block(block.block_row(), block.block_col(), DataPathKind::DBfs);
-                let payload = state.memory.stream_values(omega * omega);
-                self.read_chunk(&mut state, REGION_X, src_base, n);
-                let block_cycles = payload.max(omega as u64);
-                state.cycles += block_cycles;
-                state.breakdown.graph_cycles += block_cycles;
-                state.counts.graph_blocks += 1;
-                self.note_block_end(block_cycles);
-
-                let operand = Self::operand_slice(&label, src_base, omega);
-                for i in 0..omega {
-                    let d = dst_base + i;
-                    if d >= n {
-                        continue;
-                    }
-                    let logical: Vec<f64> = (0..omega).map(|j| block.get(i, j)).collect();
-                    // Phase 1 passes the neighbor label through untouched.
-                    let cand = self.fcu.min_reduce_row(&logical, &operand, |_w, l| l);
-                    if cand < label[d] {
-                        let _ = self.rcu.pe_op();
-                        self.cache.write(REGION_X + d);
-                        state.cache_busy += 1;
-                        label[d] = cand;
-                        changed = true;
-                    }
-                }
-            }
-            if !changed || rounds as usize > n {
-                break;
-            }
-        }
-
-        state.memory.record_bytes(n as u64 * 8);
-        let mut report = self.finish("cc", state, Reduce::Min);
-        report.datapaths.iterations = rounds;
-        Ok((label.iter().map(|&l| l as usize).collect(), report))
-    }
-}
-
 #[cfg(test)]
 mod cc_tests {
     use super::*;
@@ -2358,6 +2373,33 @@ mod cc_tests {
         assert_eq!(labels[2], 2);
         assert_eq!(labels[4], 2);
         assert_eq!(labels[9], 9);
+    }
+
+    #[test]
+    fn relaxation_reads_a_per_block_snapshot_of_its_operand() {
+        // The directed path 0 → 1 → … → 7 lies inside one diagonal 8×8
+        // block. Each block reads a snapshot of its source chunk, so values
+        // advance one hop per round: 7 changing rounds plus a quiet one.
+        // Reading the live vector would finish in 2 rounds.
+        let mut path = Coo::new(8, 8);
+        for v in 0..7 {
+            path.push(v, v + 1, 1.0 + v as f64);
+        }
+        let at = Alf::from_coo(&path.transpose(), 8, AlfLayout::Streaming).unwrap();
+        assert_eq!(at.blocks().len(), 1);
+        let mut engine = Engine::new(SimConfig::paper());
+        let (levels, bfs) = engine.run_bfs(&at, 0).unwrap();
+        assert_eq!(levels, (0..8u32).map(f64::from).collect::<Vec<_>>());
+        assert_eq!(bfs.datapaths.iterations, 8);
+        let (dist, sssp) = engine.run_sssp(&at, 0).unwrap();
+        let expect: Vec<f64> = (0..8u32).map(|k| f64::from(k * (k + 1) / 2)).collect();
+        assert_eq!(dist, expect);
+        assert_eq!(sssp.datapaths.iterations, 8);
+        let (labels, cc) = engine
+            .run_connected_components(&symmetrized_transposed(&path))
+            .unwrap();
+        assert_eq!(labels, vec![0; 8]);
+        assert_eq!(cc.datapaths.iterations, 8);
     }
 
     #[test]
@@ -2425,36 +2467,6 @@ mod edge_case_tests {
     }
 }
 
-impl Engine {
-    /// One forward SOR sweep on the device: the D-SymGS data path with the
-    /// RCU's PEs additionally applying the relaxation blend
-    /// `x ← (1−ω_r)·x_old + ω_r·x_gs` (one extra PE operation per row —
-    /// the LUT-based PEs provide exactly these operations, §4.3).
-    ///
-    /// `omega_relax = 1` is identical to [`Engine::run_symgs_forward`].
-    ///
-    /// # Errors
-    ///
-    /// The [`Engine::run_symgs_forward`] conditions, plus
-    /// [`SimError::DimensionMismatch`] for a relaxation factor outside
-    /// `(0, 2)`.
-    pub fn run_sor_forward(
-        &mut self,
-        a: &Alf,
-        b: &[f64],
-        x: &mut [f64],
-        omega_relax: f64,
-    ) -> Result<ExecutionReport> {
-        if !(omega_relax > 0.0 && omega_relax < 2.0) {
-            return Err(SimError::DimensionMismatch {
-                expected: 1,
-                found: 0,
-            });
-        }
-        self.run_sor_sweep(a, b, x, false, omega_relax)
-    }
-}
-
 #[cfg(test)]
 mod sor_tests {
     use super::*;
@@ -2490,49 +2502,6 @@ mod sor_tests {
         let mut engine = Engine::new(SimConfig::paper());
         assert!(engine.run_sor_forward(&a, &b, &mut x, 0.0).is_err());
         assert!(engine.run_sor_forward(&a, &b, &mut x, 2.5).is_err());
-    }
-}
-
-impl Engine {
-    /// One backward SOR sweep on the device (rows descending).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Engine::run_sor_forward`].
-    pub fn run_sor_backward(
-        &mut self,
-        a: &Alf,
-        b: &[f64],
-        x: &mut [f64],
-        omega_relax: f64,
-    ) -> Result<ExecutionReport> {
-        if !(omega_relax > 0.0 && omega_relax < 2.0) {
-            return Err(SimError::DimensionMismatch {
-                expected: 1,
-                found: 0,
-            });
-        }
-        self.run_sor_sweep(a, b, x, true, omega_relax)
-    }
-
-    /// One symmetric SOR (SSOR) application on the device: forward then
-    /// backward sweep. `omega_relax = 1` is [`Engine::run_symgs`].
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Engine::run_sor_forward`].
-    pub fn run_ssor(
-        &mut self,
-        a: &Alf,
-        b: &[f64],
-        x: &mut [f64],
-        omega_relax: f64,
-    ) -> Result<ExecutionReport> {
-        let mut report = self.run_sor_forward(a, b, x, omega_relax)?;
-        let back = self.run_sor_backward(a, b, x, omega_relax)?;
-        report.merge(&back, &self.config.clone());
-        report.datapaths.iterations = 1;
-        Ok(report)
     }
 }
 

@@ -25,6 +25,14 @@ impl ShiftRegister {
         }
     }
 
+    /// Re-initializes the lanes in place (lane `k` gets `lane(k)`) for the
+    /// next block row, without reallocating.
+    pub fn reload(&mut self, lane: impl Fn(usize) -> f64) {
+        for (k, slot) in self.lanes.iter_mut().enumerate() {
+            *slot = lane(k);
+        }
+    }
+
     /// Lane width ω.
     pub fn width(&self) -> usize {
         self.lanes.len()

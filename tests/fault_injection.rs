@@ -7,8 +7,8 @@ use alrescha::{
     Alrescha, BreakerConfig, ExecBudget, FaultPlan, KernelType, RecoveryPolicy, TerminationReason,
 };
 use alrescha_kernels::spmv::spmv;
-use alrescha_sim::SimError;
-use alrescha_sparse::{gen, Csr};
+use alrescha_sim::{ExecutionReport, PageRankConfig, SimError};
+use alrescha_sparse::{gen, AlfBlock, Csr};
 
 /// The GEMV column-sum checksums must catch at least 95% of injected FCU
 /// lane and reduction-tree bit-flips (the escapes are compensating
@@ -254,19 +254,58 @@ fn breaker_failover_keeps_pcg_correct_and_visible() {
 /// `crates/sim/tests/fault_determinism.rs`).
 #[test]
 fn disabled_hooks_are_bit_identical() {
+    // An inert plan arms the ABFT checksums and the FIFO/link-stack
+    // occupancy checks without firing a fault, so every data path must
+    // match the uninstrumented run bit for bit. n = 27 and n = 100 are not
+    // multiples of ω = 8 (padded tail chunks), and the SymGS layout streams
+    // its upper-triangle and diagonal blocks reversed.
+    let plain = every_data_path(None);
+    let armed = every_data_path(Some(FaultPlan::inert(123)));
+    for ((kernel, out_plain, rep_plain), (_, out_armed, rep_armed)) in plain.iter().zip(&armed) {
+        assert_eq!(out_plain, out_armed, "{kernel}: outputs");
+        assert_eq!(rep_plain, rep_armed, "{kernel}: reports");
+    }
+}
+
+/// Runs SpMV, SymGS, SSOR, PageRank, SSSP, BFS, and connected components
+/// with `plan` armed; returns each kernel's output bits and report.
+fn every_data_path(plan: Option<FaultPlan>) -> Vec<(&'static str, Vec<u64>, ExecutionReport)> {
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    let mut acc = Alrescha::with_paper_config();
+    acc.set_fault_plan(plan);
+    let mut runs = Vec::new();
+
     let coo = gen::stencil27(3);
-    let x: Vec<f64> = (0..coo.cols()).map(|i| (i as f64 * 0.31).cos()).collect();
+    let n = coo.rows();
+    let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.31).cos()).collect();
+    let prog = acc.program(KernelType::SpMv, &coo).unwrap();
+    let (y, rep) = acc.spmv(&prog, &x).unwrap();
+    runs.push(("spmv", bits(&y), rep));
 
-    let mut plain = Alrescha::with_paper_config();
-    let prog = plain.program(KernelType::SpMv, &coo).unwrap();
-    let (y_plain, rep_plain) = plain.spmv(&prog, &x).unwrap();
+    let prog = acc.program(KernelType::SymGs, &coo).unwrap();
+    assert!(prog.matrix().blocks().iter().any(AlfBlock::reversed));
+    let b: Vec<f64> = (0..n).map(|i| 1.0 + (i % 5) as f64).collect();
+    let mut xs = vec![0.0; n];
+    let rep = acc.symgs(&prog, &b, &mut xs).unwrap();
+    runs.push(("symgs", bits(&xs), rep));
+    let mut xs = vec![0.0; n];
+    let rep = acc.ssor(&prog, &b, &mut xs, 1.3).unwrap();
+    runs.push(("sor", bits(&xs), rep));
 
-    let mut armed = Alrescha::with_paper_config();
-    let prog = armed.program(KernelType::SpMv, &coo).unwrap();
-    armed.set_fault_plan(Some(FaultPlan::inert(123)));
-    let (y_armed, rep_armed) = armed.spmv(&prog, &x).unwrap();
+    let graph = gen::GraphClass::Social.generate(100, 5);
+    let prog = acc.program(KernelType::PageRank, &graph).unwrap();
+    let (ranks, rep) = acc.pagerank(&prog, &PageRankConfig::default()).unwrap();
+    runs.push(("pagerank", bits(&ranks), rep));
+    let prog = acc.program(KernelType::Sssp, &graph).unwrap();
+    let (dist, rep) = acc.sssp(&prog, 0).unwrap();
+    runs.push(("sssp", bits(&dist), rep));
+    let prog = acc.program(KernelType::Bfs, &graph).unwrap();
+    let (levels, rep) = acc.bfs(&prog, 0).unwrap();
+    runs.push(("bfs", bits(&levels), rep));
+    let prog = acc.program(KernelType::ConnectedComponents, &graph).unwrap();
+    let (labels, rep) = acc.connected_components(&prog).unwrap();
+    runs.push(("cc", labels.iter().map(|&l| l as u64).collect(), rep));
 
-    assert_eq!(y_plain, y_armed);
-    assert_eq!(rep_plain, rep_armed);
-    assert_eq!(armed.fault_counters().injected, 0);
+    assert_eq!(acc.fault_counters().injected, 0);
+    runs
 }
