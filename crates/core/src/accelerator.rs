@@ -391,13 +391,13 @@ impl Alrescha {
         match kernel {
             KernelType::ConnectedComponents => {
                 // Label propagation needs both edge directions: symmetrize,
-                // then transpose like the other graph kernels.
+                // then transpose like the other graph kernels. The packer
+                // sums the duplicate edges this creates.
                 let mut sym = a.clone();
                 for &(u, v, w) in a.entries() {
                     sym.push(v, u, w);
                 }
-                let (alf, table) =
-                    convert(kernel, &sym.transpose().compress(), self.config().omega)?;
+                let (alf, table) = convert(kernel, &sym.transpose(), self.config().omega)?;
                 Ok(ProgrammedKernel::build(kernel, alf, table, None))
             }
             KernelType::Bfs | KernelType::Sssp | KernelType::PageRank => {
@@ -1089,6 +1089,48 @@ mod cc_facade_tests {
         let expect = alrescha_kernels::graph::connected_components(&Csr::from_coo(&g)).unwrap();
         assert_eq!(labels, expect);
         assert_eq!(report.kernel, "cc");
+    }
+
+    #[test]
+    fn cc_program_packs_duplicate_and_reciprocal_edges_like_a_compressed_coo() {
+        // Duplicate edges, reciprocal pairs, a self loop, and a -0.0 weight:
+        // the packer's own duplicate sums must equal compress-then-pack.
+        let mut g = Coo::new(20, 20);
+        for &(u, v, w) in &[
+            (0, 1, 1.0),
+            (1, 0, 0.5),
+            (0, 1, 0.25),
+            (2, 13, 3.0),
+            (13, 2, -3.0),
+            (3, 3, 1.0),
+            (17, 4, -0.0),
+            (2, 13, 0.1),
+        ] {
+            g.push(u, v, w);
+        }
+        let mut acc = Alrescha::with_paper_config();
+        let prog = acc.program(KernelType::ConnectedComponents, &g).unwrap();
+        let mut sym = g.clone();
+        for &(u, v, w) in g.entries() {
+            sym.push(v, u, w);
+        }
+        let omega = acc.config().omega;
+        let (alf, table) = convert(
+            KernelType::ConnectedComponents,
+            &sym.transpose().compress(),
+            omega,
+        )
+        .unwrap();
+        assert_eq!(prog.table(), &table);
+        assert_eq!(prog.matrix(), &alf);
+        let bits = |a: &alrescha_sparse::Alf| -> Vec<u64> {
+            a.blocks()
+                .iter()
+                .flat_map(|b| b.payload().iter().map(|v| v.to_bits()))
+                .collect()
+        };
+        assert_eq!(bits(prog.matrix()), bits(&alf));
+        assert_eq!(prog.matrix().nnz(), alf.nnz());
     }
 
     #[test]

@@ -3,9 +3,12 @@
 //! live `Scrape` introspection surface, the passive `Observe` frame, and
 //! the crash-surviving flight recorder.
 
-use std::path::PathBuf;
-use std::sync::Arc;
+use std::io;
+use std::path::{Path, PathBuf};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
+
+use alrescha::storage::{RealStorage, StorageFile, StorageIo};
 
 use alrescha_obs::flight::{self, FlightDump};
 use alrescha_obs::json::Value;
@@ -280,6 +283,74 @@ fn flight_dump_is_valid_and_agrees_with_journal_tail() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Real storage whose checkpoint writes park while the gate is armed, so a
+/// running job keeps its quota slot until the test releases it.
+#[derive(Debug, Default)]
+struct CheckpointGate {
+    /// `(armed, writes parked so far)`.
+    state: Mutex<(bool, usize)>,
+    changed: Condvar,
+}
+
+impl CheckpointGate {
+    /// Bound on any wait, so a failing test cannot wedge the server.
+    const PATIENCE: Duration = Duration::from_mins(1);
+
+    fn set_armed(&self, armed: bool) {
+        self.state.lock().unwrap().0 = armed;
+        self.changed.notify_all();
+    }
+
+    /// Waits until a checkpoint write is parked; false on timeout.
+    fn wait_parked(&self) -> bool {
+        let guard = self.state.lock().unwrap();
+        let (guard, _) = self
+            .changed
+            .wait_timeout_while(guard, Self::PATIENCE, |s| s.1 == 0)
+            .unwrap();
+        guard.1 > 0
+    }
+}
+
+impl StorageIo for CheckpointGate {
+    fn open_append(&self, path: &Path) -> io::Result<Box<dyn StorageFile>> {
+        RealStorage.open_append(path)
+    }
+
+    fn create(&self, path: &Path) -> io::Result<Box<dyn StorageFile>> {
+        let checkpoint = path.to_string_lossy().ends_with(".ckpt.tmp");
+        let mut state = self.state.lock().unwrap();
+        if checkpoint && state.0 {
+            state.1 += 1;
+            self.changed.notify_all();
+            drop(
+                self.changed
+                    .wait_timeout_while(state, Self::PATIENCE, |s| s.0)
+                    .unwrap(),
+            );
+        } else {
+            drop(state);
+        }
+        RealStorage.create(path)
+    }
+
+    fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
+        RealStorage.read(path)
+    }
+
+    fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
+        RealStorage.rename(from, to)
+    }
+
+    fn remove_file(&self, path: &Path) -> io::Result<()> {
+        RealStorage.remove_file(path)
+    }
+
+    fn sync_parent_dir(&self, path: &Path) -> io::Result<()> {
+        RealStorage.sync_parent_dir(path)
+    }
+}
+
 /// Quota rejections ride the SLO burn ramp: a tenant that is burning its
 /// error budget gets a scaled-up `retry_after` hint relative to a tenant
 /// inside budget.
@@ -292,6 +363,8 @@ fn burning_tenant_gets_scaled_retry_after() {
     config.slo_target_e2e = Duration::ZERO;
     config.per_tenant_quota = 1;
     config.workers = 1;
+    let gate = Arc::new(CheckpointGate::default());
+    config.storage = Arc::clone(&gate) as Arc<dyn StorageIo>;
     let handle = Server::new(config).start().unwrap();
     let mut client = Client::tcp(handle.addr().to_owned(), fast_policy(6));
 
@@ -299,10 +372,16 @@ fn burning_tenant_gets_scaled_retry_after() {
     let first = client.submit("hot", &sample_job(3, 1)).unwrap();
     assert!(client.wait(first).unwrap().converged);
 
-    // Fill the quota slot, then probe with a raw frame so the in-band
-    // rejection's retry_after hint is directly observable: it must be
-    // the base hint scaled by the 8× burn ramp.
+    // Fill the quota slot and hold it: the parked job stops at its first
+    // checkpoint write until the probe has been answered. Then probe with
+    // a raw frame so the in-band rejection's retry_after hint is directly
+    // observable: it must be the base hint scaled by the 8× burn ramp.
+    gate.set_armed(true);
     let parked = client.submit("hot", &sample_job(4, 2)).unwrap();
+    assert!(
+        gate.wait_parked(),
+        "the parked job never wrote a checkpoint"
+    );
     let mut stream = std::net::TcpStream::connect(handle.addr()).unwrap();
     Frame::Submit {
         tenant: "hot".to_owned(),
@@ -323,6 +402,7 @@ fn burning_tenant_gets_scaled_retry_after() {
         other => panic!("expected an in-band quota rejection, got {other:?}"),
     }
     drop(stream);
+    gate.set_armed(false);
     assert!(client.wait(parked).unwrap().converged);
     handle.stop();
     let _ = std::fs::remove_dir_all(&dir);

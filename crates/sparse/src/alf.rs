@@ -18,8 +18,14 @@
 //! * **Meta-data** — block indices (`Inx_in`/`Inx_out`) are not streamed;
 //!   they live in the one-time configuration table
 //!   (see [`config_entry_bits`]).
+//!
+//! [`Alf::from_coo`] packs in one pass, sharing its bucketing step with
+//! [`crate::Bcsr::from_coo`]: each entry is added straight into its
+//! streaming-order slot in its block's one ω² payload (or into `diagonal`),
+//! duplicates summed in insertion order onto `+0.0`.
 
-use crate::{Bcsr, Coo, DenseMatrix, Error, MetaData, Result};
+use crate::bcsr::bucket_block_rows;
+use crate::{Coo, Error, MetaData, Result};
 
 /// Bits per configuration-table entry for an `n`×`n` matrix blocked at `ω`:
 /// `2·ceil(log2(n/ω)) + 3` (§4.1 — two block indices plus one bit each for
@@ -220,41 +226,41 @@ impl Alf {
     ///   diagonal entry of a square matrix is structurally zero (Gauss-Seidel
     ///   divides by it).
     pub fn from_coo(coo: &Coo, omega: usize, layout: AlfLayout) -> Result<Self> {
-        if omega == 0 {
-            return Err(Error::InvalidBlockWidth { omega });
-        }
-        let bcsr = Bcsr::from_coo(coo, omega)?;
         let symgs = layout == AlfLayout::SymGs;
-
-        let mut diagonal = vec![0.0; coo.rows().min(coo.cols())];
-        let mut blocks = Vec::with_capacity(bcsr.num_blocks());
-
-        for br in 0..bcsr.block_rows() {
-            let mut diag_block: Option<AlfBlock> = None;
-            for (bc, payload) in bcsr.block_row(br) {
-                let is_diag = symgs && bc == br;
-                let block = build_block(br, bc, payload, omega, layout, is_diag, &mut diagonal);
-                if is_diag {
-                    diag_block = Some(block);
+        let mut diagonal = vec![0.0; if symgs { coo.rows().min(coo.cols()) } else { 0 }];
+        let mut blocks: Vec<AlfBlock> = Vec::new();
+        let nnz = bucket_block_rows(coo, omega, |br, cols, entries| {
+            let base = blocks.len();
+            let diag = cols.binary_search(&br).ok().filter(|_| symgs);
+            blocks.extend(cols.iter().map(|&bc| AlfBlock {
+                block_row: br,
+                block_col: bc,
+                kind: BlockKind::OffDiagonal,
+                payload: vec![0.0; omega * omega],
+                omega,
+                reversed: symgs && bc >= br, // upper triangle or diagonal
+            }));
+            for &(k, i, j, v) in entries {
+                let block = &mut blocks[base + k];
+                if Some(k) == diag && i == j {
+                    diagonal[br * omega + i] += v;
                 } else {
-                    blocks.push(block);
+                    let jj = if block.reversed { omega - 1 - j } else { j };
+                    block.payload[i * omega + jj] += v;
                 }
             }
             // Block order rule: the diagonal block closes its block row.
-            if let Some(b) = diag_block {
-                blocks.push(b);
+            if let Some(d) = diag {
+                blocks[base + d].kind = BlockKind::Diagonal;
+                blocks[base + d..].rotate_left(1);
             }
-        }
+        })?;
 
         if symgs && coo.rows() == coo.cols() {
             if let Some(row) = diagonal.iter().position(|&d| d == 0.0) {
                 return Err(Error::MissingDiagonal { row });
             }
         }
-        if !symgs {
-            diagonal.clear();
-        }
-
         Ok(Alf {
             rows: coo.rows(),
             cols: coo.cols(),
@@ -262,7 +268,7 @@ impl Alf {
             layout,
             blocks,
             diagonal,
-            nnz: bcsr.nnz(),
+            nnz,
         })
     }
 
@@ -491,50 +497,10 @@ impl MetaData for Alf {
     }
 }
 
-fn build_block(
-    br: usize,
-    bc: usize,
-    payload: &DenseMatrix,
-    omega: usize,
-    layout: AlfLayout,
-    extract_diag: bool,
-    diagonal: &mut [f64],
-) -> AlfBlock {
-    let upper = bc > br;
-    let reverse = layout == AlfLayout::SymGs && (upper || extract_diag);
-    let mut data = vec![0.0; omega * omega];
-    for i in 0..omega {
-        for j in 0..omega {
-            let mut v = payload[(i, j)];
-            if extract_diag && i == j {
-                let global = br * omega + i;
-                if global < diagonal.len() {
-                    diagonal[global] = v;
-                }
-                v = 0.0;
-            }
-            let jj = if reverse { omega - 1 - j } else { j };
-            data[i * omega + jj] = v;
-        }
-    }
-    let kind = if extract_diag {
-        BlockKind::Diagonal
-    } else {
-        BlockKind::OffDiagonal
-    };
-    AlfBlock {
-        block_row: br,
-        block_col: bc,
-        kind,
-        payload: data,
-        omega,
-        reversed: reverse,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Bcsr;
 
     /// The 9x9, ω=3 example shape of Figure 8/13: blocks on the diagonal
     /// plus off-diagonal blocks (0,2), (1,0)-ish pattern.

@@ -50,45 +50,24 @@ impl Bcsr {
     ///
     /// Returns [`Error::InvalidBlockWidth`] if `omega == 0`.
     pub fn from_coo(coo: &Coo, omega: usize) -> Result<Self> {
-        if omega == 0 {
-            return Err(Error::InvalidBlockWidth { omega });
-        }
-        let canon = coo.clone().compress();
-        let block_rows = canon.rows().div_ceil(omega);
-        let block_cols = canon.cols().div_ceil(omega);
-
-        // Group entries by (block_row, block_col); entries arrive row-major
-        // so blocks of one block row appear contiguously only after bucketing.
-        let mut buckets: std::collections::BTreeMap<(usize, usize), DenseMatrix> =
-            std::collections::BTreeMap::new();
-        for &(r, c, v) in canon.entries() {
-            let key = (r / omega, c / omega);
-            let block = buckets
-                .entry(key)
-                .or_insert_with(|| DenseMatrix::zeros(omega, omega));
-            block[(r % omega, c % omega)] += v;
-        }
-
-        let mut block_row_ptr = vec![0usize; block_rows + 1];
-        let mut block_col_idx = Vec::with_capacity(buckets.len());
-        let mut blocks = Vec::with_capacity(buckets.len());
-        for (&(br, bc), block) in &buckets {
-            block_row_ptr[br + 1] += 1;
-            block_col_idx.push(bc);
-            blocks.push(block.clone());
-        }
-        for i in 0..block_rows {
-            block_row_ptr[i + 1] += block_row_ptr[i];
-        }
-        let _ = block_cols;
+        let (mut block_row_ptr, mut block_col_idx, mut blocks) = (vec![0], Vec::new(), Vec::new());
+        let nnz = bucket_block_rows(coo, omega, |_, cols, entries| {
+            let base = blocks.len();
+            block_col_idx.extend_from_slice(cols);
+            blocks.resize_with(base + cols.len(), || DenseMatrix::zeros(omega, omega));
+            for &(k, i, j, v) in entries {
+                blocks[base + k][(i, j)] += v;
+            }
+            block_row_ptr.push(blocks.len());
+        })?;
         Ok(Bcsr {
-            rows: canon.rows(),
-            cols: canon.cols(),
+            rows: coo.rows(),
+            cols: coo.cols(),
             omega,
             block_row_ptr,
             block_col_idx,
             blocks,
-            nnz: canon.nnz(),
+            nnz,
         })
     }
 
@@ -187,6 +166,61 @@ impl MetaData for Bcsr {
     fn nnz(&self) -> usize {
         self.nnz
     }
+}
+
+/// The one bucketing pass behind [`Bcsr::from_coo`] and
+/// [`crate::Alf::from_coo`]; returns the number of distinct coordinates.
+/// `visit(br, cols, entries)` sees every block row in ascending order, empty
+/// ones too: `cols` are its block columns that hold an entry, ascending, and
+/// `entries` its entries in insertion order as `(position in cols, in-block
+/// row, in-block col, value)`. The sort by block row is stable, so adding a
+/// coordinate's entries onto `+0.0` sums duplicates in [`Coo::compress`]'s
+/// order. Every entry creates its block, an explicit zero too.
+pub(crate) fn bucket_block_rows(
+    coo: &Coo,
+    omega: usize,
+    mut visit: impl FnMut(usize, &[usize], &[(usize, usize, usize, f64)]),
+) -> Result<usize> {
+    if omega == 0 {
+        return Err(Error::InvalidBlockWidth { omega });
+    }
+    // Stable counting sort by block row into block-local coordinates.
+    let mut start = vec![0; coo.rows().div_ceil(omega) + 1];
+    for &(r, _, _) in coo.entries() {
+        start[r / omega + 1] += 1;
+    }
+    for br in 1..start.len() {
+        start[br] += start[br - 1];
+    }
+    let (mut next, mut sorted) = (start.clone(), vec![(0, 0, 0, 0.0); coo.entries().len()]);
+    for &(r, c, v) in coo.entries() {
+        sorted[next[r / omega]] = (c / omega, r % omega, c % omega, v);
+        next[r / omega] += 1;
+    }
+    // `slot[bc]` is (1 + the last block row holding bc, bc's position in its
+    // `cols`); `stamp[cell]` is 1 + the last block row that wrote the cell.
+    // Stamping by row means neither needs clearing between rows.
+    let mut slot = vec![(0, 0); coo.cols().div_ceil(omega)];
+    let (mut cols, mut stamp, mut nnz) = (Vec::new(), Vec::new(), 0);
+    for (br, w) in start.windows(2).enumerate() {
+        let span = &mut sorted[w[0]..w[1]];
+        cols.clear();
+        for e in span.iter() {
+            if std::mem::replace(&mut slot[e.0].0, br + 1) != br + 1 {
+                cols.push(e.0);
+            }
+        }
+        cols.sort_unstable();
+        cols.iter().enumerate().for_each(|(k, &bc)| slot[bc].1 = k);
+        stamp.resize(stamp.len().max(cols.len() * omega * omega), 0);
+        for e in span.iter_mut() {
+            e.0 = slot[e.0].1;
+            let cell = &mut stamp[(e.0 * omega + e.1) * omega + e.2];
+            nnz += usize::from(std::mem::replace(cell, br + 1) != br + 1);
+        }
+        visit(br, &cols, span);
+    }
+    Ok(nnz)
 }
 
 #[cfg(test)]
