@@ -202,16 +202,26 @@ pub fn read_container(bytes: &[u8]) -> Result<AssembledProgram, ContainerError> 
     };
     let entry_count = r.dim("entry_count")?;
     let n = rows.max(cols);
-    let entry_layout = EntryLayout::for_matrix(n, omega);
-    let packed = r.take(entry_layout.packed_bytes(entry_count), "program bits")?;
+    let packed_len = EntryLayout::for_matrix(n, omega)
+        .packed_bytes(entry_count)
+        .ok_or(ContainerError::BadField {
+            what: "entry_count",
+            value: entry_count as u64,
+        })?;
+    let packed = r.take(packed_len, "program bits")?;
     let binary = ProgramBinary::from_raw_parts(kernel, n, omega, entry_count, packed.to_vec());
 
-    let diag_len = r.dim("diag_len")?;
+    let diag_len = r.count("diag_len", 8)?;
     let mut diagonal = Vec::with_capacity(diag_len);
     for _ in 0..diag_len {
         diagonal.push(r.f64("diagonal value")?);
     }
-    let block_count = r.dim("block_count")?;
+    let slots = omega.checked_mul(omega).ok_or(ContainerError::BadField {
+        what: "omega",
+        value: omega as u64,
+    })?;
+    // Each block is row, col, kind, order, then ω² values.
+    let block_count = r.count("block_count", slots.saturating_mul(8).saturating_add(18))?;
     let mut blocks = Vec::with_capacity(block_count);
     for _ in 0..block_count {
         let br = r.dim("block row")?;
@@ -227,8 +237,8 @@ pub fn read_container(bytes: &[u8]) -> Result<AssembledProgram, ContainerError> 
             }
         };
         let reversed = r.u8("block order")? != 0;
-        let mut payload = Vec::with_capacity(omega * omega);
-        for _ in 0..omega * omega {
+        let mut payload = Vec::with_capacity(slots);
+        for _ in 0..slots {
             payload.push(r.f64("block payload")?);
         }
         blocks.push(
@@ -297,6 +307,16 @@ impl<'a> Reader<'a> {
         let v = self.u64(what)?;
         usize::try_from(v).map_err(|_| ContainerError::BadField { what, value: v })
     }
+
+    /// A count of records of at least `each` bytes; a count the remaining
+    /// bytes cannot hold is truncation, caught before anything is allocated.
+    fn count(&mut self, what: &'static str, each: usize) -> Result<usize, ContainerError> {
+        let count = self.dim(what)?;
+        if count > (self.buf.len() - self.at) / each {
+            return Err(ContainerError::Truncated { what });
+        }
+        Ok(count)
+    }
 }
 
 #[cfg(test)]
@@ -342,6 +362,103 @@ mod tests {
         for cut in [3, 16, bytes.len() - 5] {
             assert!(read_container(&bytes[..cut]).is_err(), "cut at {cut}");
         }
+    }
+
+    /// A CRC-valid SpMV container header: rows, cols, ω, Streaming layout,
+    /// `entry_count` entries; the caller appends the rest and [`seal`]s it.
+    fn forged_header(rows: u64, cols: u64, omega: u64, entry_count: u64) -> Vec<u8> {
+        let mut out = MAGIC.to_vec();
+        out.extend_from_slice(&[VERSION, kernel_code(KernelType::SpMv)]);
+        for v in [rows, cols, omega] {
+            push_u64(&mut out, v);
+        }
+        out.push(0);
+        push_u64(&mut out, entry_count);
+        out
+    }
+
+    /// Appends the CRC trailer, so only payload decoding can reject it.
+    fn seal(mut body: Vec<u8>) -> Vec<u8> {
+        let crc = crc32(&body);
+        body.extend_from_slice(&crc.to_le_bytes());
+        body
+    }
+
+    #[test]
+    fn huge_diagonal_count_is_truncation_not_an_allocation() {
+        for diag_len in [u64::MAX / 2, 1 << 37] {
+            let mut body = forged_header(4, 4, 2, 0);
+            push_u64(&mut body, diag_len);
+            push_u64(&mut body, 0);
+            assert_eq!(
+                read_container(&seal(body)).err(),
+                Some(ContainerError::Truncated { what: "diag_len" }),
+                "diag_len {diag_len}"
+            );
+        }
+    }
+
+    #[test]
+    fn huge_block_count_is_truncation_not_an_allocation() {
+        let mut body = forged_header(4, 4, 2, 0);
+        push_u64(&mut body, 0);
+        push_u64(&mut body, u64::MAX / 2);
+        assert_eq!(
+            read_container(&seal(body)).err(),
+            Some(ContainerError::Truncated {
+                what: "block_count"
+            })
+        );
+    }
+
+    #[test]
+    fn omega_whose_square_wraps_is_rejected() {
+        // ω = 2^33: ω² wraps to 0 in 64 bits, so an empty payload would
+        // pass a wrapping size check.
+        let omega = 1u64 << 33;
+        let mut body = forged_header(omega, omega, omega, 0);
+        push_u64(&mut body, 0);
+        push_u64(&mut body, 1);
+        body.extend_from_slice(&[0; 18]);
+        assert_eq!(
+            read_container(&seal(body)).err(),
+            Some(ContainerError::BadField {
+                what: "omega",
+                value: omega
+            })
+        );
+        assert!(AlfBlock::from_streamed_payload(
+            0,
+            0,
+            BlockKind::OffDiagonal,
+            Vec::new(),
+            1 << 33,
+            false
+        )
+        .is_err());
+    }
+
+    #[test]
+    fn entry_count_whose_bit_size_wraps_is_rejected() {
+        // n = 64 at ω = 8 packs 9-bit entries. This count is 9⁻¹ mod 2^64,
+        // so 9 · entry_count wraps to 1 bit and a wrapping size check would
+        // accept one packed byte for ~10^19 entries.
+        let entry_count = 0x8e38_e38e_38e3_8e39u64;
+        assert_eq!(entry_count.wrapping_mul(9), 1);
+        let mut body = forged_header(64, 64, 8, entry_count);
+        body.push(0);
+        push_u64(&mut body, 0);
+        push_u64(&mut body, 0);
+        assert_eq!(
+            read_container(&seal(body)).err(),
+            Some(ContainerError::BadField {
+                what: "entry_count",
+                value: entry_count
+            })
+        );
+        let binary =
+            ProgramBinary::from_raw_parts(KernelType::SpMv, 64, 8, entry_count as usize, vec![0]);
+        assert!(binary.decode().is_err());
     }
 
     #[test]

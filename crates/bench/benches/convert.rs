@@ -1,5 +1,6 @@
 //! Criterion bench: Algorithm 1 conversion (the host-side one-time
-//! preprocessing, §4.1) for each kernel type.
+//! preprocessing, §4.1) for each kernel type, and the fleet's per-job
+//! cold-path gates (conversion-cache key, alverify preflight).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
@@ -42,5 +43,41 @@ fn bench_convert(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_convert, bench_preprocessing);
+/// The fleet's cold-path gates per job, on `cold_batch`-sized matrices
+/// (n = 1000, one per science class): the alverify preflight of a
+/// programmed SpMV, and the conversion-cache key.
+fn bench_cold_path_gates(c: &mut Criterion) {
+    use alrescha::fleet::matrix_fingerprint;
+    use alrescha::Alrescha;
+    use alrescha_lint::verify_programmed;
+    use alrescha_sim::SimConfig;
+    use alrescha_sparse::gen::ScienceClass;
+
+    let config = SimConfig::paper();
+    let mut acc = Alrescha::new(config.clone());
+    let matrices: Vec<_> = ScienceClass::ALL
+        .iter()
+        .map(|class| (class.name(), class.generate(1000, 7)))
+        .collect();
+    let mut group = c.benchmark_group("preflight");
+    for (name, a) in &matrices {
+        let prog = acc.program(KernelType::SpMv, a).expect("suite matrix");
+        group.bench_function(format!("spmv/{name}"), |b| {
+            b.iter(|| verify_programmed(&prog, &config));
+        });
+    }
+    group.finish();
+    let mut group = c.benchmark_group("fingerprint");
+    for (name, a) in &matrices {
+        group.bench_function(name, |b| b.iter(|| matrix_fingerprint(a)));
+    }
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_convert,
+    bench_preprocessing,
+    bench_cold_path_gates
+);
 criterion_main!(benches);

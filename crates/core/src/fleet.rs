@@ -411,21 +411,30 @@ fn fnv1a(hash: &mut u64, bytes: &[u8]) {
     }
 }
 
-/// Content fingerprint of a COO matrix: dimensions plus every entry's
-/// coordinates and exact value bits, FNV-1a folded. Two matrices with the
-/// same fingerprint, shape, and nnz are treated as identical by the cache
-/// (the full key also carries shape and nnz, so a 64-bit collision would
-/// additionally have to match those).
+/// Multiplier of the fingerprint's per-word step (the odd 64-bit golden
+/// ratio constant).
+const WORD_MIX: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// Content fingerprint of a COO matrix for the in-memory conversion cache:
+/// dimensions plus every entry's coordinates and exact value bits, folded
+/// one 64-bit word at a time in entry order and finished with the
+/// splitmix64 finalizer. Two matrices with the same fingerprint, shape, and
+/// nnz are treated as identical by the cache (the full key also carries
+/// shape and nnz, so a 64-bit collision would additionally have to match
+/// those). The value is never journaled, sent, or stored; the solution
+/// fingerprints of [`JobOutput`] are a separate, byte-exact FNV-1a.
 pub fn matrix_fingerprint(a: &Coo) -> u64 {
-    let mut h = FNV_OFFSET;
-    fnv1a(&mut h, &(a.rows() as u64).to_le_bytes());
-    fnv1a(&mut h, &(a.cols() as u64).to_le_bytes());
+    // Each step is a bijection of the state for a fixed word (xor, odd
+    // multiply, xor-shift), so distinct prefixes never merge on equal input.
+    let step = |h: u64, word: u64| {
+        let h = (h ^ word).wrapping_mul(WORD_MIX);
+        h ^ (h >> 32)
+    };
+    let mut h = step(step(0, a.rows() as u64), a.cols() as u64);
     for &(r, c, v) in a.entries() {
-        fnv1a(&mut h, &(r as u64).to_le_bytes());
-        fnv1a(&mut h, &(c as u64).to_le_bytes());
-        fnv1a(&mut h, &v.to_bits().to_le_bytes());
+        h = step(step(step(h, r as u64), c as u64), v.to_bits());
     }
-    h
+    crate::util::splitmix64(&mut h)
 }
 
 /// Cache key: the conversion inputs that determine a program.
@@ -1645,5 +1654,45 @@ mod tests {
         b.push(0, 0, -1.0);
         assert_ne!(matrix_fingerprint(&a), matrix_fingerprint(&b));
         assert_eq!(matrix_fingerprint(&a), matrix_fingerprint(&a.clone()));
+    }
+
+    /// Builds a `rows`×`cols` COO from entries in the given order.
+    fn coo_of(rows: usize, cols: usize, entries: &[(usize, usize, f64)]) -> Coo {
+        let mut a = Coo::new(rows, cols);
+        for &(r, c, v) in entries {
+            a.push(r, c, v);
+        }
+        a
+    }
+
+    #[test]
+    fn matrix_fingerprint_separates_layout_and_bit_level_twins() {
+        let nan = f64::NAN.to_bits();
+        let pairs = [
+            // Swapped coordinates of one entry.
+            (coo_of(3, 3, &[(0, 1, 2.0)]), coo_of(3, 3, &[(1, 0, 2.0)])),
+            // The same entries in a different order.
+            (
+                coo_of(3, 3, &[(0, 1, 2.0), (2, 2, 5.0)]),
+                coo_of(3, 3, &[(2, 2, 5.0), (0, 1, 2.0)]),
+            ),
+            // Swapped dimensions, same entries.
+            (coo_of(3, 4, &[(0, 1, 2.0)]), coo_of(4, 3, &[(0, 1, 2.0)])),
+            // Signed zeros.
+            (coo_of(2, 2, &[(1, 1, 0.0)]), coo_of(2, 2, &[(1, 1, -0.0)])),
+            // NaNs that differ only in their payload bits.
+            (
+                coo_of(2, 2, &[(0, 0, f64::from_bits(nan))]),
+                coo_of(2, 2, &[(0, 0, f64::from_bits(nan ^ 1))]),
+            ),
+        ];
+        for (k, (a, b)) in pairs.iter().enumerate() {
+            assert_ne!(matrix_fingerprint(a), matrix_fingerprint(b), "pair {k}");
+            assert_eq!(
+                matrix_fingerprint(a),
+                matrix_fingerprint(&a.clone()),
+                "pair {k}"
+            );
+        }
     }
 }

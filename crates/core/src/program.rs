@@ -47,22 +47,32 @@ pub struct ProgramBinary {
     bits: Vec<u8>,
 }
 
-/// Writes `value`'s low `width` bits at bit offset `pos`.
+/// Writes `value`'s low `width` bits at bit offset `pos`, least significant
+/// bit first, one byte-aligned span (up to 8 bits) per step. Bits are ORed
+/// in, and a span with no set bit touches no byte.
 fn write_bits(bits: &mut [u8], pos: usize, width: usize, value: usize) {
-    for k in 0..width {
-        if (value >> k) & 1 == 1 {
-            bits[(pos + k) / 8] |= 1 << ((pos + k) % 8);
+    let mut done = 0;
+    while done < width {
+        let at = pos + done;
+        let take = (8 - at % 8).min(width - done);
+        let span = (value >> done) as u8 & (0xff >> (8 - take));
+        if span != 0 {
+            bits[at / 8] |= span << (at % 8);
         }
+        done += take;
     }
 }
 
-/// Reads `width` bits at bit offset `pos`.
+/// Reads `width` bits at bit offset `pos`, one byte-aligned span per step.
 fn read_bits(bits: &[u8], pos: usize, width: usize) -> usize {
     let mut value = 0usize;
-    for k in 0..width {
-        if bits[(pos + k) / 8] >> ((pos + k) % 8) & 1 == 1 {
-            value |= 1 << k;
-        }
+    let mut done = 0;
+    while done < width {
+        let at = pos + done;
+        let take = (8 - at % 8).min(width - done);
+        let span = (bits[at / 8] >> (at % 8)) & (0xff >> (8 - take));
+        value |= usize::from(span) << done;
+        done += take;
     }
     value
 }
@@ -154,8 +164,9 @@ impl EntryLayout {
     }
 
     /// Packed size in bytes of a table with `entries` entries.
-    pub fn packed_bytes(&self, entries: usize) -> usize {
-        (entries * self.entry_bits).div_ceil(8)
+    /// `None` when `entries × entry_bits` overflows a `usize`.
+    pub fn packed_bytes(&self, entries: usize) -> Option<usize> {
+        Some(entries.checked_mul(self.entry_bits)?.div_ceil(8))
     }
 
     /// The largest value an index field can carry.
@@ -247,7 +258,12 @@ impl ProgramBinary {
     /// `omega`.
     pub fn encode(kernel: KernelType, table: &ConfigTable, n: usize, omega: usize) -> Self {
         let layout = EntryLayout::for_matrix(n, omega);
-        let mut bits = vec![0u8; layout.packed_bytes(table.entries().len())];
+        // An in-memory table cannot hold 2^64 / entry_bits entries, so the
+        // size never overflows here.
+        let bytes = layout
+            .packed_bytes(table.entries().len())
+            .unwrap_or(usize::MAX);
+        let mut bits = vec![0u8; bytes];
         for (e, entry) in table.entries().iter().enumerate() {
             layout.encode_entry(entry, &mut bits, e * layout.entry_bits());
         }
@@ -265,13 +281,14 @@ impl ProgramBinary {
     /// # Errors
     ///
     /// Returns [`CoreError::DimensionMismatch`] if the byte buffer is too
-    /// short for the declared entry count.
+    /// short for the declared entry count, or the count's bit size
+    /// overflows a `usize`.
     pub fn decode(&self) -> Result<ConfigTable> {
         let layout = EntryLayout::for_matrix(self.n, self.omega);
-        let needed_bits = self.entries * layout.entry_bits();
-        if self.bits.len() * 8 < needed_bits {
+        let needed = layout.packed_bytes(self.entries).unwrap_or(usize::MAX);
+        if self.bits.len() < needed {
             return Err(CoreError::DimensionMismatch {
-                expected: needed_bits.div_ceil(8),
+                expected: needed,
                 found: self.bits.len(),
             });
         }
@@ -423,13 +440,65 @@ mod tests {
             order: AccessOrder::R2L,
             op: OperandPort::Port2,
         };
-        let mut bits = vec![0u8; layout.packed_bytes(1)];
+        let mut bits = vec![0u8; layout.packed_bytes(1).unwrap()];
         layout.encode_entry(&entry, &mut bits, 0);
         let back = layout.decode_entry(KernelType::SpMv, &bits, 0);
         assert_eq!(back.inx_in, entry.inx_in);
         assert_eq!(back.inx_out, entry.inx_out);
         assert_eq!(back.order, entry.order);
         assert_eq!(back.op, entry.op);
+    }
+
+    /// The original one-bit-per-step writer, kept as the byte-span codec's
+    /// oracle.
+    fn write_bits_per_bit(bits: &mut [u8], pos: usize, width: usize, value: usize) {
+        for k in 0..width {
+            if (value >> k) & 1 == 1 {
+                bits[(pos + k) / 8] |= 1 << ((pos + k) % 8);
+            }
+        }
+    }
+
+    /// The original one-bit-per-step reader, kept as the oracle.
+    fn read_bits_per_bit(bits: &[u8], pos: usize, width: usize) -> usize {
+        let mut value = 0usize;
+        for k in 0..width {
+            if bits[(pos + k) / 8] >> ((pos + k) % 8) & 1 == 1 {
+                value |= 1 << k;
+            }
+        }
+        value
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(1024))]
+
+        /// The byte-span codec writes and reads exactly the bits of the
+        /// per-bit loop: any offset, widths 0–64, values wider than the
+        /// field, pre-set neighbour bits, and fields ending on the last byte.
+        #[test]
+        fn byte_span_codec_matches_the_per_bit_oracle(
+            background in proptest::collection::vec(0u8..=255, 9usize..24),
+            width in 0usize..=64,
+            pos_draw in 0usize..4096,
+            at_end in 0u8..3,
+            value in 0u64..=u64::MAX,
+        ) {
+            let room = background.len() * 8 - width;
+            let pos = if at_end == 0 { room } else { pos_draw % (room + 1) };
+            let value = value as usize;
+            for start in [background.clone(), vec![0u8; background.len()]] {
+                let (mut fast, mut slow) = (start.clone(), start);
+                write_bits(&mut fast, pos, width, value);
+                write_bits_per_bit(&mut slow, pos, width, value);
+                proptest::prop_assert_eq!(&fast, &slow, "write pos {} width {}", pos, width);
+                proptest::prop_assert_eq!(
+                    read_bits(&fast, pos, width),
+                    read_bits_per_bit(&fast, pos, width),
+                    "read pos {} width {}", pos, width
+                );
+            }
+        }
     }
 
     #[test]

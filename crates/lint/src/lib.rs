@@ -414,9 +414,10 @@ pub fn is_launchable(diagnostics: &[Diagnostic]) -> bool {
 /// returns every finding sorted most-severe first (stable within a
 /// severity, i.e. rule order is preserved).
 pub fn verify(program: &ProgramBinary, alf: &Alf, config: &SimConfig) -> Vec<Diagnostic> {
-    let mut diags = rules::verify_binary(program, alf);
-    if let Ok(table) = program.decode() {
-        diags.extend(rules::verify_table(program.kernel(), &table, alf, config));
+    let decoded = program.decode();
+    let mut diags = rules::verify_binary(program, &decoded, alf);
+    if let Ok(table) = &decoded {
+        diags.extend(rules::verify_table(program.kernel(), table, alf, config));
     }
     diags.extend(rules::verify_alf(alf, config));
     diags.sort_by_key(|d| std::cmp::Reverse(d.severity));

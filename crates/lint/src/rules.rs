@@ -11,8 +11,13 @@ use alrescha_sparse::{Alf, BlockKind};
 use crate::{Diagnostic, Location, Severity};
 
 /// AL1xx binary rules: header/matrix agreement (AL104) and codec
-/// round-trip (AL101).
-pub(crate) fn verify_binary(program: &ProgramBinary, alf: &Alf) -> Vec<Diagnostic> {
+/// round-trip (AL101). `decoded` is `program.decode()`, decoded once by the
+/// caller and shared with the table rules.
+pub(crate) fn verify_binary(
+    program: &ProgramBinary,
+    decoded: &alrescha::Result<ConfigTable>,
+    alf: &Alf,
+) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
     let n = alf.rows().max(alf.cols());
     if program.n() != n {
@@ -50,7 +55,7 @@ pub(crate) fn verify_binary(program: &ProgramBinary, alf: &Alf) -> Vec<Diagnosti
         ));
     }
 
-    match program.decode() {
+    match decoded {
         Err(_) => {
             let entry_bits = EntryLayout::for_matrix(program.n(), program.omega()).entry_bits();
             diags.push(Diagnostic::of(
@@ -68,7 +73,7 @@ pub(crate) fn verify_binary(program: &ProgramBinary, alf: &Alf) -> Vec<Diagnosti
         }
         Ok(decoded) => {
             let reencoded =
-                ProgramBinary::encode(program.kernel(), &decoded, program.n(), program.omega());
+                ProgramBinary::encode(program.kernel(), decoded, program.n(), program.omega());
             if reencoded.as_bytes() != program.as_bytes() {
                 let offset = program
                     .as_bytes()
@@ -409,12 +414,16 @@ pub fn verify_alf(alf: &Alf, config: &SimConfig) -> Vec<Diagnostic> {
     let row_bound = alf.rows().div_ceil(omega);
     let col_bound = alf.cols().div_ceil(omega);
 
-    // AL001 / AL002 / AL201 / AL304 walk the stream once.
+    // AL001 / AL002 / AL003 / AL201 / AL304 walk the stream once; each
+    // block's fill is counted once, for its own AL003 and the mean-fill note.
     let mut last_row = 0usize;
     let mut diag_seen = vec![false; row_bound.max(1)];
     let mut last_diag_row: Option<usize> = None;
+    let mut fill_sum = 0.0;
     for (i, block) in alf.blocks().iter().enumerate() {
         let (br, bc) = (block.block_row(), block.block_col());
+        let filled = block.fill_count();
+        fill_sum += filled as f64 / (alf.omega() * alf.omega()) as f64;
 
         // AL304: structural sanity — coordinates and payload geometry.
         if br >= row_bound || bc >= col_bound {
@@ -553,7 +562,7 @@ pub fn verify_alf(alf: &Alf, config: &SimConfig) -> Vec<Diagnostic> {
         // AL003: an all-zero off-diagonal block is pure padding — BCSR
         // construction never emits one, so its presence means corruption
         // or a wasteful producer (ω²·8 streamed bytes for nothing).
-        if block.kind() == BlockKind::OffDiagonal && block.fill_count() == 0 {
+        if block.kind() == BlockKind::OffDiagonal && filled == 0 {
             diags.push(Diagnostic::of(
                 "AL003",
                 Location::Block { index: i },
@@ -566,8 +575,9 @@ pub fn verify_alf(alf: &Alf, config: &SimConfig) -> Vec<Diagnostic> {
         }
     }
 
-    // AL003 (note): low mean fill erodes the locally-dense premise.
-    let fill = alf.mean_block_fill();
+    // AL003 (note): low mean fill erodes the locally-dense premise. Same
+    // sum, in the same order, as `Alf::mean_block_fill`.
+    let fill = fill_sum / alf.blocks().len() as f64;
     if !alf.blocks().is_empty() && fill < 1.0 / omega as f64 {
         diags.push(Diagnostic::of_with(
             "AL003",

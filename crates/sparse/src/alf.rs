@@ -117,13 +117,6 @@ impl AlfBlock {
         self.payload.iter().filter(|v| **v != 0.0).count()
     }
 
-    /// Mutable payload access for verifier/mutation tests. Breaks the
-    /// format invariants by design; never used by the simulator.
-    #[doc(hidden)]
-    pub fn payload_mut_unchecked(&mut self) -> &mut [f64] {
-        &mut self.payload
-    }
-
     /// Overrides the reversal flag for verifier/mutation tests.
     #[doc(hidden)]
     pub fn set_reversed_unchecked(&mut self, reversed: bool) {
@@ -153,7 +146,7 @@ impl AlfBlock {
         if omega == 0 {
             return Err(Error::InvalidBlockWidth { omega });
         }
-        if payload.len() != omega * omega {
+        if omega.checked_mul(omega) != Some(payload.len()) {
             return Err(Error::DimensionMismatch {
                 expected: (omega, omega),
                 found: (payload.len(), 1),
@@ -300,7 +293,7 @@ impl Alf {
             return Err(Error::InvalidBlockWidth { omega });
         }
         for b in &blocks {
-            if b.omega != omega || b.payload.len() != omega * omega {
+            if b.omega != omega || omega.checked_mul(omega) != Some(b.payload.len()) {
                 return Err(Error::DimensionMismatch {
                     expected: (omega, omega),
                     found: (b.omega, b.payload.len() / b.omega.max(1)),
@@ -440,16 +433,39 @@ impl Alf {
 
     /// Distinct operand block columns of the densest block row — with the
     /// `b` and diagonal chunks, the per-block-row cache working set in
-    /// chunks.
+    /// chunks. Blocks outside the block grid (an AL304 error) are not
+    /// counted.
     pub fn max_operand_blocks_per_row(&self) -> usize {
-        let rows = self.block_rows().max(1);
-        let mut cols: Vec<Vec<usize>> = vec![Vec::new(); rows];
-        for b in &self.blocks {
-            if b.block_row < rows && !cols[b.block_row].contains(&b.block_col) {
-                cols[b.block_row].push(b.block_col);
-            }
+        let (rows, cols) = (self.block_rows().max(1), self.cols.div_ceil(self.omega));
+        let in_grid = |b: &&AlfBlock| b.block_row < rows && b.block_col < cols;
+        // Group the block columns by block row (a counting sort: the stream
+        // need not be in row order), then count each row's distinct columns
+        // with one stamp array: `stamp[bc]` is 1 + the last block row that
+        // counted bc, so nothing is cleared between rows.
+        let mut start = vec![0usize; rows + 1];
+        for b in self.blocks.iter().filter(in_grid) {
+            start[b.block_row + 1] += 1;
         }
-        cols.into_iter().map(|c| c.len()).max().unwrap_or(0)
+        for br in 1..=rows {
+            start[br] += start[br - 1];
+        }
+        let (mut next, mut grouped) = (start.clone(), vec![0; start[rows]]);
+        for b in self.blocks.iter().filter(in_grid) {
+            grouped[next[b.block_row]] = b.block_col;
+            next[b.block_row] += 1;
+        }
+        let mut stamp = vec![0; cols];
+        start
+            .windows(2)
+            .enumerate()
+            .map(|(br, w)| {
+                grouped[w[0]..w[1]]
+                    .iter()
+                    .filter(|&&bc| std::mem::replace(&mut stamp[bc], br + 1) != br + 1)
+                    .count()
+            })
+            .max()
+            .unwrap_or(0)
     }
 
     /// Mutable block access for verifier/mutation tests (swap stream order,
@@ -474,7 +490,7 @@ impl Alf {
         let fill: f64 = self
             .blocks
             .iter()
-            .map(|b| b.payload.iter().filter(|v| **v != 0.0).count() as f64 / slots as f64)
+            .map(|b| b.fill_count() as f64 / slots as f64)
             .sum();
         fill / self.blocks.len() as f64
     }
@@ -732,128 +748,25 @@ mod tests {
         assert!(padded.has_padded_tail());
         assert_eq!(padded.padded_dim(), 6);
     }
-}
-
-/// One streamed ω-element row, as the memory interface delivers it.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct StreamedRow<'a> {
-    /// Block-row coordinate of the owning block.
-    pub block_row: usize,
-    /// Block-column coordinate of the owning block.
-    pub block_col: usize,
-    /// Diagonal or off-diagonal block.
-    pub kind: BlockKind,
-    /// Row index within the block (`0..ω`).
-    pub row_in_block: usize,
-    /// The ω payload values in streaming (access) order.
-    pub values: &'a [f64],
-}
-
-impl Alf {
-    /// Iterates over every ω-element row in the exact order the accelerator
-    /// streams them from memory: blocks in storage order, rows top to
-    /// bottom, values already permuted to their access order.
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use alrescha_sparse::{alf::AlfLayout, Alf, Coo};
-    ///
-    /// let mut coo = Coo::new(4, 4);
-    /// for i in 0..4 { coo.push(i, i, 2.0); }
-    /// let alf = Alf::from_coo(&coo, 2, AlfLayout::Streaming)?;
-    /// let rows: Vec<_> = alf.stream_rows().collect();
-    /// assert_eq!(rows.len(), alf.blocks().len() * 2);
-    /// assert_eq!(rows[0].values, &[2.0, 0.0]);
-    /// # Ok::<(), alrescha_sparse::Error>(())
-    /// ```
-    pub fn stream_rows(&self) -> impl Iterator<Item = StreamedRow<'_>> {
-        let omega = self.omega;
-        self.blocks.iter().flat_map(move |block| {
-            (0..omega).map(move |i| StreamedRow {
-                block_row: block.block_row(),
-                block_col: block.block_col(),
-                kind: block.kind(),
-                row_in_block: i,
-                values: block.row(i),
-            })
-        })
-    }
-}
-
-#[cfg(test)]
-mod stream_tests {
-    use super::*;
 
     #[test]
-    fn stream_covers_every_payload_value_in_order() {
-        let mut coo = Coo::new(6, 6);
-        for i in 0..6 {
-            coo.push(i, i, 1.0 + i as f64);
-        }
-        coo.push(0, 5, 9.0);
-        let alf = Alf::from_coo(&coo, 3, AlfLayout::SymGs).unwrap();
-
-        let streamed: Vec<f64> = alf
-            .stream_rows()
-            .flat_map(|r| r.values.iter().copied())
-            .collect();
-        let direct: Vec<f64> = alf
-            .blocks()
-            .iter()
-            .flat_map(|b| b.payload().iter().copied())
-            .collect();
-        assert_eq!(streamed, direct);
-        assert_eq!(streamed.len(), alf.blocks().len() * 9);
-    }
-
-    #[test]
-    fn streamed_rows_carry_block_metadata() {
-        let mut coo = Coo::new(4, 4);
-        for i in 0..4 {
-            coo.push(i, i, 2.0);
-        }
-        coo.push(0, 3, -1.0);
-        let alf = Alf::from_coo(&coo, 2, AlfLayout::SymGs).unwrap();
-        let rows: Vec<_> = alf.stream_rows().collect();
-        // First block is the off-diagonal (0,1); its rows stream reversed.
-        assert_eq!(rows[0].block_col, 1);
-        assert_eq!(rows[0].kind, BlockKind::OffDiagonal);
-        assert_eq!(rows[0].values, &[-1.0, 0.0]); // col 3 reversed to slot 0
-        assert_eq!(rows[1].row_in_block, 1);
-    }
-}
-
-impl Alf {
-    /// Physical byte offset of each block's payload in the accelerator's
-    /// memory space — the Figure 13 mapping. Blocks are packed contiguously
-    /// in streaming order, ω²·8 bytes each; the returned vector is indexed
-    /// like [`Alf::blocks`].
-    pub fn physical_offsets(&self) -> Vec<usize> {
-        let block_bytes = self.omega * self.omega * std::mem::size_of::<f64>();
-        (0..self.blocks.len()).map(|k| k * block_bytes).collect()
-    }
-}
-
-#[cfg(test)]
-mod physical_tests {
-    use super::*;
-
-    #[test]
-    fn offsets_are_contiguous_in_streaming_order() {
-        let mut coo = Coo::new(9, 9);
-        for i in 0..9 {
-            coo.push(i, i, 1.0);
-        }
-        coo.push(0, 6, 2.0);
-        let alf = Alf::from_coo(&coo, 3, AlfLayout::SymGs).unwrap();
-        let offsets = alf.physical_offsets();
-        assert_eq!(offsets.len(), alf.blocks().len());
-        for (k, off) in offsets.iter().enumerate() {
-            assert_eq!(*off, k * 9 * 8);
-        }
-        // Total footprint equals the streamed payload bytes.
-        assert_eq!(offsets.last().unwrap() + 9 * 8, alf.streamed_bytes());
+    fn operand_blocks_per_row_counts_distinct_columns_in_any_stream_order() {
+        let block = |br, bc| {
+            AlfBlock::from_streamed_payload(br, bc, BlockKind::OffDiagonal, vec![1.0], 1, false)
+                .unwrap()
+        };
+        // Row 0 touches columns {2, 1}; its repeat of column 2 comes after a
+        // row-1 block. The (5, 0) and (0, 7) blocks lie outside the grid.
+        let blocks = vec![
+            block(0, 2),
+            block(1, 2),
+            block(0, 2),
+            block(5, 0),
+            block(0, 7),
+            block(0, 1),
+        ];
+        let alf = Alf::from_raw_parts(3, 3, 1, AlfLayout::Streaming, blocks, Vec::new()).unwrap();
+        assert_eq!(alf.max_operand_blocks_per_row(), 2);
     }
 
     #[test]

@@ -110,11 +110,6 @@ impl Bcsr {
         self.rows.div_ceil(self.omega)
     }
 
-    /// Number of block columns.
-    pub fn block_cols(&self) -> usize {
-        self.cols.div_ceil(self.omega)
-    }
-
     /// Number of stored (non-empty) blocks.
     pub fn num_blocks(&self) -> usize {
         self.blocks.len()

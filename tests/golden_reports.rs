@@ -304,3 +304,76 @@ fn metrics_snapshot_matches_fixture() {
     assert_eq!(batch.stats.failed, 0);
     assert_golden("metrics_snapshot.json", &tele.metrics().deterministic_json());
 }
+
+/// Compares `actual` against a committed binary fixture byte for byte, or
+/// rewrites the fixture when `UPDATE_GOLDEN=1`.
+fn assert_golden_bytes(name: &str, actual: &[u8]) {
+    let path = golden_path(name);
+    if std::env::var_os("UPDATE_GOLDEN").is_some_and(|v| v == "1") {
+        std::fs::write(&path, actual).expect("write golden fixture");
+        return;
+    }
+    let expected = std::fs::read(&path)
+        .unwrap_or_else(|e| panic!("missing golden fixture {}: {e}", path.display()));
+    if let Some(at) = expected.iter().zip(actual).position(|(a, b)| a != b) {
+        panic!("{name}: byte {at} drifted from its golden fixture");
+    }
+    assert_eq!(
+        expected.len(),
+        actual.len(),
+        "{name}: length drifted from its golden fixture"
+    );
+}
+
+/// `.alpr` containers and packed program binaries are on-disk and
+/// program-interface contracts: the §4.1 bit packing, the container
+/// framing, and the CRC trailer must reproduce committed bytes exactly.
+/// The cases cover a SymGS and an SpMV table, both graph layouts, and one
+/// 21-bit-entry binary whose index fields straddle byte boundaries.
+#[test]
+fn program_containers_match_golden_bytes() {
+    use alrescha::convert::{convert, KernelType};
+    use alrescha::ProgramBinary;
+    use alrescha_asm::container::{read_container, write_container};
+    use alrescha_asm::AssembledProgram;
+    use alrescha_sparse::gen;
+
+    // Container header: magic, version, kernel, rows/cols/ω, layout,
+    // entry count; the packed program bits follow it.
+    const HEADER_BYTES: usize = 4 + 1 + 1 + 3 * 8 + 1 + 8;
+
+    let road = gen::road_grid(6).transpose();
+    for (name, kernel, coo, omega) in [
+        ("alpr/stencil27_symgs_w4.alpr", KernelType::SymGs, gen::stencil27(3), 4),
+        ("alpr/circuit_spmv_w8.alpr", KernelType::SpMv, gen::circuit(64, 3), 8),
+        ("alpr/road_grid_bfs_w4.alpr", KernelType::Bfs, road.clone(), 4),
+        ("alpr/road_grid_pagerank_w4.alpr", KernelType::PageRank, road.clone(), 4),
+    ] {
+        let (alf, table) = convert(kernel, &coo, omega).expect("convert");
+        let binary = ProgramBinary::encode(kernel, &table, coo.rows().max(coo.cols()), omega);
+        let program = AssembledProgram {
+            kernel,
+            binary,
+            table,
+            alf,
+        };
+        let bytes = write_container(&program);
+        assert_golden_bytes(name, &bytes);
+        let packed = program.binary.as_bytes();
+        assert_eq!(
+            &bytes[HEADER_BYTES..HEADER_BYTES + packed.len()],
+            packed,
+            "{name}: program bits must sit right after the header"
+        );
+        let back = read_container(&bytes).expect("golden container must decode");
+        assert_eq!(back.table.entries(), program.table.entries(), "{name}");
+        assert_eq!(back.alf, program.alf, "{name}");
+    }
+
+    let wide = gen::banded(2100, 2, 5);
+    let (_, table) = convert(KernelType::SpMv, &wide, 8).expect("convert");
+    let binary = ProgramBinary::encode(KernelType::SpMv, &table, wide.rows(), 8);
+    assert_eq!(binary.layout().entry_bits(), 21);
+    assert_golden_bytes("alpr/banded2100_spmv_w8.bin", binary.as_bytes());
+    assert_eq!(binary.decode().expect("decode").entries(), table.entries());
+}
