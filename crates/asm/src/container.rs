@@ -17,6 +17,7 @@
 
 use alrescha::convert::KernelType;
 use alrescha::program::{EntryLayout, ProgramBinary};
+use alrescha_obs::crc32;
 use alrescha_sparse::alf::AlfLayout;
 use alrescha_sparse::{Alf, AlfBlock, BlockKind};
 
@@ -76,19 +77,6 @@ impl std::fmt::Display for ContainerError {
 }
 
 impl std::error::Error for ContainerError {}
-
-/// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320), bitwise.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = !0u32;
-    for &b in bytes {
-        crc ^= u32::from(b);
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xedb8_8320 & mask);
-        }
-    }
-    !crc
-}
 
 fn kernel_code(kernel: KernelType) -> u8 {
     match kernel {
@@ -459,11 +447,5 @@ mod tests {
         let binary =
             ProgramBinary::from_raw_parts(KernelType::SpMv, 64, 8, entry_count as usize, vec![0]);
         assert!(binary.decode().is_err());
-    }
-
-    #[test]
-    fn crc32_matches_the_known_vector() {
-        // IEEE CRC-32 of "123456789".
-        assert_eq!(crc32(b"123456789"), 0xcbf4_3926);
     }
 }

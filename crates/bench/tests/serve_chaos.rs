@@ -22,6 +22,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use alrescha::fleet::{Fleet, FleetConfig, JobKernel, JobSpec};
+use alrescha::util::splitmix64;
 use alrescha::{ChaosStorage, IoFaultPlan, SolverOptions, StorageIo};
 use alrescha_obs::flight::FlightDump;
 use alrescha_serve::chaos::{ChaosProxy, NetFaultCounters, NetFaultPlan};
@@ -65,14 +66,6 @@ fn reference_fingerprint(job: &JobPayload) -> u64 {
         .as_ref()
         .unwrap()
         .solution_fingerprint()
-}
-
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 fn chaos_server(dir: &std::path::Path, storage: Arc<dyn StorageIo>) -> ServerConfig {

@@ -23,6 +23,7 @@ use std::io;
 use std::path::{Path, PathBuf};
 
 use crate::storage::{self, RealStorage, StorageIo};
+use alrescha_obs::crc32;
 use alrescha_sim::InjectorSnapshot;
 
 /// File magic: "ALCK" (ALrescha ChecKpoint).
@@ -146,20 +147,6 @@ pub struct SolverCheckpoint {
     /// Fault-injector cursor at the checkpoint boundary, when a plan was
     /// armed — restoring it replays the identical fault stream.
     pub fault: Option<InjectorSnapshot>,
-}
-
-/// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) — the checksum of
-/// gzip/zip/PNG, computed bitwise (the trailer is tiny relative to a solve).
-pub fn crc32(data: &[u8]) -> u32 {
-    let mut crc = 0xFFFF_FFFFu32;
-    for &byte in data {
-        crc ^= u32::from(byte);
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
-    }
-    !crc
 }
 
 struct Reader<'a> {
@@ -503,13 +490,6 @@ mod tests {
                 assert_eq!(a.to_bits(), b.to_bits());
             }
         }
-    }
-
-    #[test]
-    fn crc_is_the_ieee_polynomial() {
-        // The standard check value for CRC-32/IEEE over "123456789".
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
     }
 
     #[test]

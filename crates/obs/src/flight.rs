@@ -33,6 +33,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
+use crate::crc::crc32;
+
 /// Magic prefix of a `.alfr` dump.
 pub const FLIGHT_MAGIC: &[u8; 4] = b"ALFR";
 /// Current dump format version.
@@ -287,11 +289,17 @@ impl FlightRecorder {
     /// Serializes the ring to the `.alfr` byte format.
     pub fn encode(&self) -> Vec<u8> {
         let records = self.snapshot();
+        #[allow(clippy::cast_possible_truncation)]
         let (total, capacity) = {
             let ring = lock(&self.ring);
-            (ring.total, ring.slots.len())
+            (ring.total, ring.slots.len() as u32)
         };
-        encode_records(capacity, total, &records)
+        FlightDump {
+            capacity,
+            total,
+            records,
+        }
+        .encode()
     }
 
     /// Atomically dumps the ring to `path`: write `<path>.tmp`, fsync,
@@ -313,23 +321,6 @@ impl FlightRecorder {
         }
         Ok(())
     }
-}
-
-fn encode_records(capacity: usize, total: u64, records: &[FlightRecord]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(24 + records.len() * RECORD_LEN + 4);
-    out.extend_from_slice(FLIGHT_MAGIC);
-    out.extend_from_slice(&FLIGHT_VERSION.to_le_bytes());
-    #[allow(clippy::cast_possible_truncation)]
-    out.extend_from_slice(&(capacity as u32).to_le_bytes());
-    #[allow(clippy::cast_possible_truncation)]
-    out.extend_from_slice(&(records.len() as u32).to_le_bytes());
-    out.extend_from_slice(&total.to_le_bytes());
-    for r in records {
-        r.write_to(&mut out);
-    }
-    let crc = crc32(&out);
-    out.extend_from_slice(&crc.to_le_bytes());
-    out
 }
 
 /// A decoded, CRC-validated `.alfr` dump.
@@ -391,6 +382,25 @@ impl fmt::Display for FlightError {
 impl std::error::Error for FlightError {}
 
 impl FlightDump {
+    /// Serializes to the `.alfr` byte format, the inverse of
+    /// [`FlightDump::decode`].
+    #[must_use]
+    pub fn encode(&self) -> Vec<u8> {
+        let mut out = Vec::with_capacity(24 + self.records.len() * RECORD_LEN + 4);
+        out.extend_from_slice(FLIGHT_MAGIC);
+        out.extend_from_slice(&FLIGHT_VERSION.to_le_bytes());
+        out.extend_from_slice(&self.capacity.to_le_bytes());
+        #[allow(clippy::cast_possible_truncation)]
+        out.extend_from_slice(&(self.records.len() as u32).to_le_bytes());
+        out.extend_from_slice(&self.total.to_le_bytes());
+        for r in &self.records {
+            r.write_to(&mut out);
+        }
+        let crc = crc32(&out);
+        out.extend_from_slice(&crc.to_le_bytes());
+        out
+    }
+
     /// Decodes and validates a `.alfr` byte stream.
     pub fn decode(bytes: &[u8]) -> Result<FlightDump, FlightError> {
         if bytes.len() < 8 || &bytes[..4] != FLIGHT_MAGIC {
@@ -445,22 +455,6 @@ impl FlightDump {
     pub fn read(path: &Path) -> io::Result<Result<FlightDump, FlightError>> {
         Ok(Self::decode(&fs::read(path)?))
     }
-}
-
-/// CRC-32 (IEEE 802.3, reflected), bitwise — identical polynomial to the
-/// checkpoint/journal codecs but implemented locally: this crate sits at
-/// the bottom of the dependency graph.
-#[must_use]
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = !0u32;
-    for &byte in bytes {
-        crc ^= u32::from(byte);
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
-    }
-    !crc
 }
 
 #[cfg(test)]

@@ -33,8 +33,9 @@ use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use alrescha::checkpoint::{crc32, write_atomic_with};
+use alrescha::checkpoint::write_atomic_with;
 use alrescha::storage::{self, RealStorage, StorageFile, StorageIo};
+use alrescha_obs::crc32;
 
 use crate::protocol::{put_job, put_str, put_u64, JobPayload, Reader, WireError};
 

@@ -21,7 +21,7 @@ use std::fmt;
 use std::io::{self, Read, Write};
 use std::time::Duration;
 
-use alrescha::checkpoint::crc32;
+use alrescha_obs::crc32;
 use alrescha_sparse::Coo;
 
 /// Frame magic: "ALSV" (ALrescha SerVe).

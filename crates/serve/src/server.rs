@@ -30,7 +30,7 @@
 //! have gotten from an uninterrupted run.
 
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::fmt;
 use std::fmt::Write as _;
 use std::io::{self, Read, Write};
@@ -77,7 +77,10 @@ pub struct ServerConfig {
     pub data_dir: PathBuf,
     /// Worker threads executing solves.
     pub workers: usize,
-    /// Bound on queued (admitted, not yet running) jobs.
+    /// Bound on queued (admitted, not yet running) jobs. Also the number
+    /// of most recently settled jobs whose `Done` keeps its solution
+    /// vector; older ones answer with the scalars and fingerprint only,
+    /// like a job settled before a restart.
     pub queue_capacity: usize,
     /// Per-tenant in-flight cap.
     pub per_tenant_quota: usize,
@@ -187,7 +190,7 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 }
 
 /// Where a job currently stands, as reported to clients.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 enum JobState {
     Queued,
     Running { iteration: u64, residual: f64 },
@@ -202,6 +205,27 @@ impl JobState {
             self,
             JobState::Done { .. } | JobState::Failed { .. } | JobState::Parked
         )
+    }
+
+    /// The `(iteration, residual bits)` a waiter is sent as `Progress`,
+    /// or `None` once terminal. `Queued` reads as iteration 0 with a NaN
+    /// residual, the same as a job that started running.
+    fn progress(&self) -> Option<(u64, u64)> {
+        let bits = |r: f64| {
+            if r.is_nan() {
+                f64::NAN.to_bits()
+            } else {
+                r.to_bits()
+            }
+        };
+        match self {
+            JobState::Queued => Some((0, bits(f64::NAN))),
+            JobState::Running {
+                iteration,
+                residual,
+            } => Some((*iteration, bits(*residual))),
+            _ => None,
+        }
     }
 
     fn to_frame(&self, job_id: u64) -> Frame {
@@ -236,24 +260,58 @@ impl JobState {
 /// connection threads, and the fleet's checkpoint hook, so there is
 /// exactly one source of truth for `Status`/`Wait` clients.
 struct StatusBoard {
-    map: Mutex<HashMap<u64, JobState>>,
+    board: Mutex<Board>,
     cv: Condvar,
+    /// How many settled jobs keep their solution vector
+    /// (`ServerConfig::queue_capacity`).
+    keep_x: usize,
+}
+
+#[derive(Default)]
+struct Board {
+    jobs: HashMap<u64, JobState>,
+    /// Settled jobs whose `Done` still holds its solution vector, oldest
+    /// first.
+    solved: VecDeque<u64>,
 }
 
 impl StatusBoard {
-    fn set(&self, job_id: u64, state: JobState) {
-        let mut map = lock(&self.map);
-        // Never let a late progress update overwrite a terminal state.
-        let settled = map.get(&job_id).is_some_and(JobState::is_terminal) && !state.is_terminal();
-        if !settled {
-            map.insert(job_id, state);
+    fn new(keep_x: usize) -> Self {
+        StatusBoard {
+            board: Mutex::new(Board::default()),
+            cv: Condvar::new(),
+            keep_x,
         }
-        drop(map);
+    }
+
+    fn set(&self, job_id: u64, state: JobState) {
+        let mut board = lock(&self.board);
+        let Board { jobs, solved } = &mut *board;
+        // Never let a late progress update overwrite a terminal state.
+        let settled = jobs.get(&job_id).is_some_and(JobState::is_terminal) && !state.is_terminal();
+        if !settled {
+            let has_x = matches!(&state, JobState::Done { result } if !result.x.is_empty());
+            jobs.insert(job_id, state);
+            if has_x && !solved.contains(&job_id) {
+                solved.push_back(job_id);
+            }
+            while solved.len() > self.keep_x {
+                let Some(old) = solved.pop_front() else { break };
+                if let Some(JobState::Done { result }) = jobs.get_mut(&old) {
+                    result.x = Vec::new();
+                }
+            }
+        }
+        drop(board);
         self.cv.notify_all();
     }
 
-    fn get(&self, job_id: u64) -> Option<JobState> {
-        lock(&self.map).get(&job_id).cloned()
+    /// The frame a one-shot `Status` is answered with.
+    fn frame(&self, job_id: u64) -> Frame {
+        lock(&self.board)
+            .jobs
+            .get(&job_id)
+            .map_or(Frame::NotFound { job_id }, |s| s.to_frame(job_id))
     }
 }
 
@@ -401,7 +459,8 @@ impl Inner {
 
     /// Queued + running jobs (anything non-terminal in the status map).
     fn active_jobs(&self) -> usize {
-        lock(&self.status.map)
+        lock(&self.status.board)
+            .jobs
             .values()
             .filter(|s| !s.is_terminal())
             .count()
@@ -529,10 +588,7 @@ impl Server {
             if compaction_failed { "failed" } else { "ok" },
         );
 
-        let status = Arc::new(StatusBoard {
-            map: Mutex::new(HashMap::new()),
-            cv: Condvar::new(),
-        });
+        let status = Arc::new(StatusBoard::new(config.queue_capacity));
 
         // The fleet's checkpoint hook runs on worker threads between solver
         // iterations: persist atomically, then publish progress to waiters.
@@ -914,13 +970,7 @@ fn handle_frame(inner: &Arc<Inner>, stream: &mut Stream, frame: Frame) -> bool {
         Frame::Submit { tenant, job, trace } => {
             admit(inner, &tenant, job, trace).write_to(stream).is_ok()
         }
-        Frame::Status { job_id } => {
-            let frame = inner
-                .status
-                .get(job_id)
-                .map_or(Frame::NotFound { job_id }, |s| s.to_frame(job_id));
-            frame.write_to(stream).is_ok()
-        }
+        Frame::Status { job_id } => inner.status.frame(job_id).write_to(stream).is_ok(),
         Frame::Scrape { kind } => Frame::ScrapeReply {
             body: scrape(inner, kind),
         }
@@ -1224,7 +1274,7 @@ fn scrape(inner: &Arc<Inner>, kind: ScrapeKind) -> String {
             )
         }
         ScrapeKind::Jobs => {
-            let map = lock(&inner.status.map);
+            let map = &lock(&inner.status.board).jobs;
             let mut ids: Vec<u64> = map.keys().copied().collect();
             ids.sort_unstable();
             let rows: Vec<String> = ids
@@ -1313,38 +1363,42 @@ fn scrape(inner: &Arc<Inner>, kind: ScrapeKind) -> String {
 /// `Done` frames are sent with the solution vector stripped: observers
 /// get the job's progress and scalar outcome, not the tenant's data.
 fn wait_loop(inner: &Arc<Inner>, stream: &mut Stream, job_id: u64, observe: bool) -> bool {
-    let mut last_sent: Option<String> = None;
+    // The progress last sent: a poll that finds it unchanged sends nothing.
+    let mut last_sent: Option<(u64, u64)> = None;
     loop {
         if inner.shutdown.load(Ordering::SeqCst) {
             return false;
         }
-        let Some(state) = inner.status.get(job_id) else {
+        let map = lock(&inner.status.board);
+        let Some(state) = map.jobs.get(&job_id) else {
+            drop(map);
             return Frame::NotFound { job_id }.write_to(stream).is_ok();
         };
+        let progress = state.progress();
+        if progress.is_some() && progress == last_sent {
+            drop(
+                inner
+                    .status
+                    .cv
+                    .wait_timeout(map, Duration::from_millis(50))
+                    .unwrap_or_else(PoisonError::into_inner),
+            );
+            continue;
+        }
         let mut frame = state.to_frame(job_id);
+        drop(map);
         if observe {
             if let Frame::Done { result, .. } = &mut frame {
                 result.x = Vec::new();
             }
         }
-        let key = format!("{frame:?}");
-        if last_sent.as_deref() != Some(&key) {
-            if frame.write_to(stream).is_err() {
-                return false;
-            }
-            last_sent = Some(key);
+        if frame.write_to(stream).is_err() {
+            return false;
         }
-        if state.is_terminal() {
+        if progress.is_none() {
             return true;
         }
-        let map = lock(&inner.status.map);
-        drop(
-            inner
-                .status
-                .cv
-                .wait_timeout(map, Duration::from_millis(50))
-                .unwrap_or_else(PoisonError::into_inner),
-        );
+        last_sent = progress;
     }
 }
 
@@ -1550,4 +1604,66 @@ fn run_job(inner: &Arc<Inner>, station: &mut Station, job: QueuedJob) {
     );
     inner.status.set(job_id, state);
     inner.flight_sync();
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn done(x: Vec<f64>, fingerprint: u64) -> JobState {
+        JobState::Done {
+            result: SolveResult {
+                x,
+                iterations: 3,
+                residual: 1e-9,
+                converged: true,
+                solution_fingerprint: fingerprint,
+            },
+        }
+    }
+
+    fn done_result(board: &StatusBoard, job_id: u64) -> SolveResult {
+        match board.frame(job_id) {
+            Frame::Done { result, .. } => result,
+            other => panic!("job {job_id}: expected Done, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn only_the_newest_settled_jobs_keep_their_solution() {
+        let board = StatusBoard::new(2);
+        for id in 1..=3 {
+            board.set(id, done(vec![1.0, 2.0], 100 + id));
+        }
+        let evicted = done_result(&board, 1);
+        assert!(evicted.x.is_empty(), "the oldest job is past the bound");
+        assert_eq!(evicted.solution_fingerprint, 101);
+        assert_eq!((evicted.iterations, evicted.converged), (3, true));
+        for id in 2..=3 {
+            assert_eq!(done_result(&board, id).x, vec![1.0, 2.0], "job {id}");
+        }
+        // A replayed Done (no vector) and a failure hold nothing to evict,
+        // so they leave the kept vectors alone.
+        board.set(4, done(Vec::new(), 104));
+        board.set(5, JobState::Failed { error: "e".into() });
+        assert_eq!(done_result(&board, 2).x.len(), 2);
+        board.set(6, done(vec![3.0], 106));
+        assert!(done_result(&board, 2).x.is_empty());
+        assert_eq!(done_result(&board, 3).x.len(), 2);
+    }
+
+    #[test]
+    fn queued_and_a_fresh_run_send_the_same_progress() {
+        let fresh = JobState::Running {
+            iteration: 0,
+            residual: f64::NAN,
+        };
+        assert_eq!(JobState::Queued.progress(), fresh.progress());
+        let later = JobState::Running {
+            iteration: 1,
+            residual: 0.5,
+        };
+        assert_ne!(later.progress(), fresh.progress());
+        assert_eq!(done(Vec::new(), 1).progress(), None);
+    }
 }

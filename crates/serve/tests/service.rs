@@ -113,6 +113,38 @@ fn submit_wait_round_trip_matches_direct_fleet_run() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Settled jobs keep their solution vector only while they are among the
+/// newest `queue_capacity`; an older one still answers `Done` with its
+/// scalars and fingerprint, like a job settled before a restart.
+#[test]
+fn settled_solutions_are_kept_for_the_newest_queue_capacity_jobs() {
+    let dir = tempdir("settled-x");
+    let mut config = server_config(dir.clone());
+    config.queue_capacity = 2;
+    config.workers = 1;
+    let handle = Server::new(config).start().unwrap();
+    let mut client = Client::tcp(handle.addr().to_owned(), fast_policy());
+
+    let mut settled = Vec::new();
+    for seed in 0..3 {
+        let job_id = client.submit("acme", &sample_job(2, seed)).unwrap();
+        let result = client.wait(job_id).unwrap();
+        assert!(!result.x.is_empty(), "a fresh Done carries its solution");
+        settled.push((job_id, result));
+    }
+    let (oldest, first) = &settled[0];
+    let again = client.wait(*oldest).unwrap();
+    assert!(again.x.is_empty(), "the oldest job is past the bound");
+    assert_eq!(again.solution_fingerprint, first.solution_fingerprint);
+    assert_eq!(again.iterations, first.iterations);
+    assert_eq!(again.converged, first.converged);
+    for (job_id, first) in &settled[1..] {
+        assert_eq!(&client.wait(*job_id).unwrap(), first, "job {job_id}");
+    }
+    handle.stop();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn unix_socket_round_trip() {
     let dir = tempdir("unix");

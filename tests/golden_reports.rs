@@ -377,3 +377,121 @@ fn program_containers_match_golden_bytes() {
     assert_golden_bytes("alpr/banded2100_spmv_w8.bin", binary.as_bytes());
     assert_eq!(binary.decode().expect("decode").entries(), table.entries());
 }
+
+/// The four service containers are wire and disk contracts too: an ALSV
+/// `Submit` frame, an ALJL `Accepted` journal record, an ALCK checkpoint
+/// and an ALFR flight dump must reproduce committed bytes exactly,
+/// header, payload and CRC-32 trailer alike. Every input is fixed, so the
+/// bytes depend on the codecs alone; each fixture must also decode back to
+/// its input.
+#[test]
+fn service_containers_match_golden_bytes() {
+    use alrescha::{SolverCheckpoint, SolverKind};
+    use alrescha_obs::flight::{self, FlightDump, FlightRecord, TAG_LEN};
+    use alrescha_serve::{Frame, JobPayload, Journal, TraceContext};
+    use alrescha_sim::fault::InjectorSnapshot;
+    use alrescha_sparse::gen;
+
+    let matrix = gen::stencil27(3);
+    let n = matrix.rows();
+    let vector = |scale: f64| -> Vec<f64> {
+        (0..n)
+            .map(|i| scale * (((i * 37) % 11) as f64 - 5.0) / 3.0)
+            .collect()
+    };
+    let job = JobPayload {
+        matrix,
+        b: vector(1.0),
+        tol: 1e-8,
+        max_iters: 500,
+        priority: 3,
+    };
+
+    let submit = Frame::Submit {
+        tenant: "tenant-a".to_owned(),
+        job: job.clone(),
+        trace: TraceContext {
+            trace_id: 0x0123_4567_89ab_cdef,
+            parent_span: 42,
+        },
+    };
+    let bytes = submit.encode();
+    assert_golden_bytes("containers/submit.alsv", &bytes);
+    assert_eq!(
+        Frame::decode(&bytes).expect("golden frame must decode"),
+        submit
+    );
+
+    let dir = std::env::temp_dir().join(format!("alrescha-golden-aljl-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("journal dir");
+    let path = dir.join("jobs.wal");
+    Journal::open(&path)
+        .expect("fresh journal")
+        .accept(7, "tenant-a", &job)
+        .expect("accept");
+    let bytes = std::fs::read(&path).expect("journal bytes");
+    assert_golden_bytes("containers/accepted.aljl", &bytes);
+    let recovered = Journal::open(&path)
+        .expect("golden journal must replay")
+        .recover();
+    assert_eq!(recovered, vec![(7, "tenant-a".to_owned(), job)]);
+    let _ = std::fs::remove_dir_all(&dir);
+
+    let checkpoint = SolverCheckpoint {
+        kind: SolverKind::Pcg,
+        n,
+        iteration: 4,
+        x: vector(0.5),
+        r: vector(-0.25),
+        p: vector(2.0),
+        rz: 0.1875,
+        r0: 12.5,
+        residual_history: vec![3.5, 0.75, 0.0625, 0.00390625],
+        fault: Some(InjectorSnapshot {
+            rng_state: 0x9e37_79b9_7f4a_7c15,
+            cycle: 123_456,
+            counters: alrescha_sim::FaultCounters {
+                injected: 5,
+                detected: 4,
+                recovered: 3,
+                retries: 2,
+                degraded: 1,
+            },
+        }),
+    };
+    let bytes = checkpoint.to_bytes();
+    assert_golden_bytes("containers/pcg.alck", &bytes);
+    assert_eq!(
+        SolverCheckpoint::from_bytes(&bytes).expect("golden checkpoint must decode"),
+        checkpoint
+    );
+
+    let record = |seq: u64, code: u16, a: u64, tag: &str| {
+        let mut buf = [0u8; TAG_LEN];
+        buf[..tag.len()].copy_from_slice(tag.as_bytes());
+        FlightRecord {
+            seq,
+            ts_ns: 1_000 * seq + 17,
+            code,
+            a,
+            b: seq ^ 0xff,
+            tag: buf,
+        }
+    };
+    let dump = FlightDump {
+        capacity: 16,
+        total: 21,
+        records: vec![
+            record(18, flight::EV_ADMIT_OK, 7, "tenant-a"),
+            record(19, flight::EV_JOURNAL_ACCEPT, 7, "tenant-a"),
+            record(20, flight::EV_CHECKPOINT, 7, "ckpt"),
+        ],
+    };
+    let bytes = dump.encode();
+    assert_golden_bytes("containers/ring.alfr", &bytes);
+    assert_eq!(
+        FlightDump::decode(&bytes).expect("golden dump must decode"),
+        dump
+    );
+}
