@@ -130,9 +130,7 @@ pub fn assemble(listing: &Listing) -> Result<AssembledProgram, AsmError> {
             ));
             continue;
         }
-        if stmt.payload_rows.len() != omega
-            || stmt.payload_rows.iter().any(|r| r.len() != omega)
-        {
+        if stmt.payload_rows.len() != omega || stmt.payload_rows.iter().any(|r| r.len() != omega) {
             diags.push(AsmDiagnostic::of(
                 "AL503",
                 stmt.span,

@@ -131,7 +131,9 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         return Err(format!("{command}: missing input file (or --gen SPEC)"));
     }
     if args.input.is_some() && args.gen_spec.is_some() {
-        return Err(format!("{command}: give either an input file or --gen, not both"));
+        return Err(format!(
+            "{command}: give either an input file or --gen, not both"
+        ));
     }
     Ok(args)
 }
@@ -188,12 +190,8 @@ fn load_program(args: &Args) -> Result<Result<AssembledProgram, String>, String>
         };
         let (alf, table) = convert(args.kernel, &coo, args.omega)
             .map_err(|e| format!("conversion failed: {e}"))?;
-        let binary = ProgramBinary::encode(
-            args.kernel,
-            &table,
-            coo.rows().max(coo.cols()),
-            args.omega,
-        );
+        let binary =
+            ProgramBinary::encode(args.kernel, &table, coo.rows().max(coo.cols()), args.omega);
         return Ok(Ok(AssembledProgram {
             kernel: args.kernel,
             binary,
@@ -219,7 +217,9 @@ fn load_program(args: &Args) -> Result<Result<AssembledProgram, String>, String>
 }
 
 fn emit(args: &Args, content: &[u8]) -> Result<(), String> {
-    if let Some(path) = &args.output { fs::write(path, content).map_err(|e| format!("{path}: {e}")) } else {
+    if let Some(path) = &args.output {
+        fs::write(path, content).map_err(|e| format!("{path}: {e}"))
+    } else {
         use std::io::Write as _;
         std::io::stdout()
             .write_all(content)

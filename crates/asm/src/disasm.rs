@@ -26,7 +26,10 @@ use crate::syntax::format_value;
 pub fn disassemble(kernel: KernelType, table: &ConfigTable, alf: &Alf) -> String {
     let omega = alf.omega();
     let mut out = String::new();
-    let _ = writeln!(out, "; alasm listing \u{2014} ALRESCHA textual ISA (DESIGN.md \u{a7}15)");
+    let _ = writeln!(
+        out,
+        "; alasm listing \u{2014} ALRESCHA textual ISA (DESIGN.md \u{a7}15)"
+    );
     let _ = writeln!(
         out,
         "; kernel {} over a {}\u{d7}{} matrix at \u{3c9}={omega}: {} block(s), {}-bit entries, {} data-path switch(es)",
@@ -160,13 +163,16 @@ mod tests {
             let binary =
                 alrescha::program::ProgramBinary::encode(kernel, &table, coo.rows(), omega);
             let text = disassemble(kernel, &table, &alf);
-            let asm = assemble_text(&text).unwrap_or_else(|e| {
-                panic!("canonical listing failed to assemble: {e}\n{text}")
-            });
+            let asm = assemble_text(&text)
+                .unwrap_or_else(|e| panic!("canonical listing failed to assemble: {e}\n{text}"));
             assert_eq!(asm.binary.as_bytes(), binary.as_bytes(), "{kernel:?} bits");
             assert_eq!(asm.alf, alf, "{kernel:?} payload");
             let text2 = disassemble(kernel, &asm.table, &asm.alf);
-            assert_eq!(token_stream(&text), token_stream(&text2), "{kernel:?} tokens");
+            assert_eq!(
+                token_stream(&text),
+                token_stream(&text2),
+                "{kernel:?} tokens"
+            );
         }
     }
 

@@ -14,9 +14,7 @@
 //! operands, which is what makes `ALASM_SEED=<n>` repro lines from the
 //! differential fuzzer replayable.
 
-use alrescha::convert::{
-    AccessOrder, ConfigEntry, ConfigTable, DataPath, KernelType, OperandPort,
-};
+use alrescha::convert::{AccessOrder, ConfigEntry, ConfigTable, DataPath, KernelType, OperandPort};
 use alrescha_sparse::alf::{config_entry_bits, AlfLayout};
 use alrescha_sparse::{Alf, AlfBlock, BlockKind};
 
@@ -104,8 +102,8 @@ pub fn generate(seed: u64) -> GeneratedProgram {
     };
     let omega = [2, 4, 8][rng.below(3)];
     let block_rows = 2 + rng.below(4); // 2..=5
-    // Padded tail: chop up to ω−1 rows off the last block row (never all
-    // of it) so `n` is frequently not a multiple of ω.
+                                       // Padded tail: chop up to ω−1 rows off the last block row (never all
+                                       // of it) so `n` is frequently not a multiple of ω.
     let chop = rng.below(omega);
     let n = block_rows * omega - chop;
 
@@ -238,7 +236,14 @@ fn symgs_schedule(
             }
         }
         reverse_rows(&mut payload, omega);
-        blocks.push(build_block(br, br, BlockKind::Diagonal, payload, omega, true));
+        blocks.push(build_block(
+            br,
+            br,
+            BlockKind::Diagonal,
+            payload,
+            omega,
+            true,
+        ));
         entries.push(ConfigEntry {
             data_path: DataPath::DSymGs,
             inx_in: br * omega,

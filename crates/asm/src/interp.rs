@@ -223,7 +223,9 @@ mod tests {
     use alrescha_sparse::gen;
 
     fn operand(n: usize) -> Vec<f64> {
-        (0..n).map(|i| ((i % 13) as f64).mul_add(0.375, -1.5)).collect()
+        (0..n)
+            .map(|i| ((i % 13) as f64).mul_add(0.375, -1.5))
+            .collect()
     }
 
     #[test]

@@ -15,17 +15,12 @@ fn bench_fleet(c: &mut Criterion) {
     for &n_jobs in &[16usize, 32] {
         let jobs = repeated_matrix_jobs(216, n_jobs);
 
-        group.bench_with_input(
-            BenchmarkId::new("sequential", n_jobs),
-            &jobs,
-            |b, jobs| {
-                b.iter(|| {
-                    let fleet = Fleet::new(FleetConfig::default())
-                        .with_preflight(preflight.clone());
-                    fleet.run_sequential(jobs.clone())
-                });
-            },
-        );
+        group.bench_with_input(BenchmarkId::new("sequential", n_jobs), &jobs, |b, jobs| {
+            b.iter(|| {
+                let fleet = Fleet::new(FleetConfig::default()).with_preflight(preflight.clone());
+                fleet.run_sequential(jobs.clone())
+            });
+        });
 
         for &workers in &[1usize, 4] {
             group.bench_with_input(
@@ -33,9 +28,8 @@ fn bench_fleet(c: &mut Criterion) {
                 &jobs,
                 |b, jobs| {
                     b.iter(|| {
-                        let fleet =
-                            Fleet::new(FleetConfig::default().with_workers(workers))
-                                .with_preflight(preflight.clone());
+                        let fleet = Fleet::new(FleetConfig::default().with_workers(workers))
+                            .with_preflight(preflight.clone());
                         fleet.run(jobs.clone())
                     });
                 },

@@ -21,13 +21,17 @@ fn bench_obs_overhead(c: &mut Criterion) {
     let workers = 4usize;
     let jobs = repeated_matrix_jobs(216, n_jobs);
 
-    group.bench_with_input(BenchmarkId::new("no-telemetry", n_jobs), &jobs, |b, jobs| {
-        b.iter(|| {
-            let fleet = Fleet::new(FleetConfig::default().with_workers(workers))
-                .with_preflight(preflight.clone());
-            fleet.run(jobs.clone())
-        });
-    });
+    group.bench_with_input(
+        BenchmarkId::new("no-telemetry", n_jobs),
+        &jobs,
+        |b, jobs| {
+            b.iter(|| {
+                let fleet = Fleet::new(FleetConfig::default().with_workers(workers))
+                    .with_preflight(preflight.clone());
+                fleet.run(jobs.clone())
+            });
+        },
+    );
 
     group.bench_with_input(
         BenchmarkId::new("attached-disabled", n_jobs),

@@ -61,8 +61,7 @@ fn print_help() {
 }
 
 fn load(path: &str) -> Result<Value, String> {
-    let text =
-        std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     Value::parse(&text).map_err(|e| format!("{path}: invalid JSON: {e}"))
 }
 
@@ -132,15 +131,8 @@ fn cmd_metrics(path: &str) -> Result<(), String> {
                 let mean = if count > 0.0 { sum / count } else { 0.0 };
                 println!("{name:<48} histogram count={count} sum={sum} mean={mean:.1}");
                 let mut prev = 0.0;
-                for bucket in metric
-                    .get("buckets")
-                    .and_then(Value::as_arr)
-                    .unwrap_or(&[])
-                {
-                    let cumulative = bucket
-                        .get("count")
-                        .and_then(Value::as_f64)
-                        .unwrap_or(0.0);
+                for bucket in metric.get("buckets").and_then(Value::as_arr).unwrap_or(&[]) {
+                    let cumulative = bucket.get("count").and_then(Value::as_f64).unwrap_or(0.0);
                     let in_bucket = (cumulative - prev).max(0.0);
                     prev = cumulative;
                     let le = bucket.get("le").map_or_else(
@@ -175,8 +167,7 @@ fn cmd_stitch(out: &str, sources: &[String]) -> Result<(), String> {
     }
     let stitched = stitch_traces(&loaded)?;
     let ids = trace_ids(&stitched);
-    std::fs::write(out, stitched.to_json())
-        .map_err(|e| format!("cannot write {out}: {e}"))?;
+    std::fs::write(out, stitched.to_json()).map_err(|e| format!("cannot write {out}: {e}"))?;
     let summary = validate_chrome_trace(&stitched).map_err(|e| format!("{out}: {e}"))?;
     println!(
         "{out}: stitched {} sources into {} events on {} tracks",
@@ -245,11 +236,15 @@ fn run() -> Result<(), CliError> {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     match argv.first().map(String::as_str) {
         Some("validate") => {
-            let path = argv.get(1).ok_or_else(|| usage("validate needs a trace file"))?;
+            let path = argv
+                .get(1)
+                .ok_or_else(|| usage("validate needs a trace file"))?;
             Ok(cmd_validate(path)?)
         }
         Some("spans") => {
-            let path = argv.get(1).ok_or_else(|| usage("spans needs a trace file"))?;
+            let path = argv
+                .get(1)
+                .ok_or_else(|| usage("spans needs a trace file"))?;
             let mut top = 10usize;
             let mut i = 2;
             while i < argv.len() {

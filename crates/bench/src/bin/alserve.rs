@@ -32,9 +32,7 @@ use std::time::Duration;
 
 use alrescha_obs::flight::{self, FlightRecorder};
 use alrescha_obs::json::Value;
-use alrescha_serve::{
-    Bind, Client, JobPayload, RetryPolicy, ScrapeKind, Server, ServerConfig,
-};
+use alrescha_serve::{Bind, Client, JobPayload, RetryPolicy, ScrapeKind, Server, ServerConfig};
 
 /// Set from the signal handler; polled by the serve loop.
 static SHUTDOWN: AtomicBool = AtomicBool::new(false);
@@ -149,8 +147,7 @@ fn cmd_serve(flags: &Flags<'_>) -> Result<(), String> {
     // The daemon always carries telemetry: the live `Scrape` endpoint
     // serves the metrics registry whether or not a trace file is wanted.
     let telemetry = Some(alrescha_obs::Telemetry::new());
-    let data_dir: std::path::PathBuf =
-        flags.value("--data-dir").unwrap_or("alserve-data").into();
+    let data_dir: std::path::PathBuf = flags.value("--data-dir").unwrap_or("alserve-data").into();
     let flight = Arc::new(FlightRecorder::new(
         flags.parse("--flight-capacity", 1024usize)?,
     ));
@@ -200,7 +197,10 @@ fn cmd_serve(flags: &Flags<'_>) -> Result<(), String> {
     while !SHUTDOWN.load(Ordering::SeqCst) {
         std::thread::sleep(Duration::from_millis(50));
     }
-    eprintln!("alserve: signal received, draining ({} active)", handle.active_jobs());
+    eprintln!(
+        "alserve: signal received, draining ({} active)",
+        handle.active_jobs()
+    );
     handle.drain();
     handle.wait_idle(Duration::from_millis(20));
     handle.stop();

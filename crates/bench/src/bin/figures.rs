@@ -108,7 +108,9 @@ fn print_help() {
     println!("  --ablation format     locally-dense vs CSR streaming on the same hardware");
     println!("  --ablation bandwidth  memory-bandwidth scaling sweep");
     println!("  --fleet               batched-execution throughput (fleet vs sequential)");
-    println!("  --trace-out <path>    run an instrumented fleet batch; write a Chrome/Perfetto trace");
+    println!(
+        "  --trace-out <path>    run an instrumented fleet batch; write a Chrome/Perfetto trace"
+    );
     println!("  --metrics-out <path>  same batch; write the metrics-registry JSON snapshot");
     println!("  --scale <n>           approximate matrix dimension (default 1000)");
     println!("  --skip-preflight      skip the alverify static-verification sub-step");

@@ -170,12 +170,7 @@ fn write_bench_json(
 }
 
 fn row(fields: Vec<(&str, Value)>) -> Value {
-    Value::Obj(
-        fields
-            .into_iter()
-            .map(|(k, v)| (k.to_owned(), v))
-            .collect(),
-    )
+    Value::Obj(fields.into_iter().map(|(k, v)| (k.to_owned(), v)).collect())
 }
 
 fn num(v: f64) -> Value {
@@ -209,7 +204,10 @@ pub fn export_bench_json(dir: &Path, n: usize) -> std::io::Result<Vec<String>> {
                     ("alrescha_speedup", num(r.alrescha_speedup)),
                     ("memristive_speedup", num(r.memristive_speedup)),
                     ("alrescha_bw_utilization", num(r.alrescha_bw_utilization)),
-                    ("memristive_bw_utilization", num(r.memristive_bw_utilization)),
+                    (
+                        "memristive_bw_utilization",
+                        num(r.memristive_bw_utilization),
+                    ),
                 ])
             })
             .collect(),
@@ -312,8 +310,7 @@ mod tests {
 
     #[test]
     fn bench_json_files_reparse_with_rows() {
-        let dir =
-            std::env::temp_dir().join(format!("alrescha-benchjson-{}", std::process::id()));
+        let dir = std::env::temp_dir().join(format!("alrescha-benchjson-{}", std::process::id()));
         let written = export_bench_json(&dir, 300).expect("export succeeds");
         assert_eq!(written.len(), 5);
         for name in &written {

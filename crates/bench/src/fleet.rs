@@ -66,11 +66,11 @@ pub fn measure_fleet_throughput(
     let preflight = alrescha_lint::fleet_preflight_hook();
     let mut rows = Vec::new();
 
-    let reference =
-        Fleet::new(FleetConfig::default()).with_preflight(preflight.clone());
+    let reference = Fleet::new(FleetConfig::default()).with_preflight(preflight.clone());
     let seq = reference.run_sequential(jobs.clone());
     assert_eq!(
-        seq.stats.failed, 0,
+        seq.stats.failed,
+        0,
         "sequential reference failed jobs: {:?}",
         seq.jobs.iter().find(|r| r.result.is_err())
     );
@@ -127,7 +127,9 @@ pub fn instrumented_batch(n: usize, tele: &Arc<Telemetry>) -> FleetReport {
 pub fn print_fleet_throughput(n: usize) {
     let n_jobs = 64;
     println!("Fleet throughput — {n_jobs} SpMV jobs, one repeated stencil27 system (n ~ {n})");
-    println!("alverify preflight enforced on every path; sequential = fresh engine + conversion per job");
+    println!(
+        "alverify preflight enforced on every path; sequential = fresh engine + conversion per job"
+    );
     println!();
     println!(
         "{:>10} {:>10} {:>12} {:>12} {:>9} {:>7} {:>7}",

@@ -89,7 +89,10 @@ fn capture_flight(dir: &std::path::Path, seed: u64) -> String {
     let src = dir.join("alserve.alfr");
     let dst = std::env::temp_dir().join(format!("alserve-chaos-flight-{seed:x}.alfr"));
     match std::fs::copy(&src, &dst) {
-        Ok(_) => format!("flight dump captured at {} (decode with `alobs flight`)", dst.display()),
+        Ok(_) => format!(
+            "flight dump captured at {} (decode with `alobs flight`)",
+            dst.display()
+        ),
         Err(e) => format!("no flight dump captured ({}: {e})", src.display()),
     }
 }
@@ -138,9 +141,12 @@ fn chaos_soak_stop_restart_under_storage_and_network_faults() {
     let mut net_totals = NetFaultCounters::default();
     let mut pending_observed = 0usize;
 
-    let mut handle = Server::new(chaos_server(&dir, Arc::clone(&storage) as Arc<dyn StorageIo>))
-        .start()
-        .unwrap();
+    let mut handle = Server::new(chaos_server(
+        &dir,
+        Arc::clone(&storage) as Arc<dyn StorageIo>,
+    ))
+    .start()
+    .unwrap();
     for cycle in 0..cycles {
         let proxy = ChaosProxy::start(
             handle.addr().to_owned(),
@@ -171,15 +177,18 @@ fn chaos_soak_stop_restart_under_storage_and_network_faults() {
         net_totals.merge(&proxy.counters());
         proxy.stop();
         // Journal must stay replayable after every chaotic cycle.
-        let journal = Journal::open(dir.join("jobs.wal"))
-            .unwrap_or_else(|e| panic!("journal unreadable after cycle {cycle} (CHAOS_SEED={seed}): {e}"));
+        let journal = Journal::open(dir.join("jobs.wal")).unwrap_or_else(|e| {
+            panic!("journal unreadable after cycle {cycle} (CHAOS_SEED={seed}): {e}")
+        });
         pending_observed += journal.recover().len();
         drop(journal);
         // The flight dump must stay CRC-valid and non-empty under active
         // storage and network hostility — it is the artifact a failing
         // seed gets triaged from, so it may never be the casualty.
         let dump = FlightDump::read(&dir.join("alserve.alfr"))
-            .unwrap_or_else(|e| panic!("no flight dump after cycle {cycle} (CHAOS_SEED={seed}): {e}"))
+            .unwrap_or_else(|e| {
+                panic!("no flight dump after cycle {cycle} (CHAOS_SEED={seed}): {e}")
+            })
             .unwrap_or_else(|e| {
                 panic!("flight dump corrupt after cycle {cycle} (CHAOS_SEED={seed}): {e}")
             });
@@ -187,9 +196,12 @@ fn chaos_soak_stop_restart_under_storage_and_network_faults() {
             !dump.records.is_empty(),
             "empty flight dump after cycle {cycle} (CHAOS_SEED={seed})"
         );
-        handle = Server::new(chaos_server(&dir, Arc::clone(&storage) as Arc<dyn StorageIo>))
-            .start()
-            .unwrap_or_else(|e| panic!("restart {cycle} failed (CHAOS_SEED={seed}): {e}"));
+        handle = Server::new(chaos_server(
+            &dir,
+            Arc::clone(&storage) as Arc<dyn StorageIo>,
+        ))
+        .start()
+        .unwrap_or_else(|e| panic!("restart {cycle} failed (CHAOS_SEED={seed}): {e}"));
     }
 
     // Final pass on a CLEAN transport (no proxy): every acked job must be
@@ -215,7 +227,11 @@ fn chaos_soak_stop_restart_under_storage_and_network_faults() {
             capture_flight(&dir, seed)
         );
     }
-    assert_eq!(accepted.len() as u64, cycles * 2, "acceptance bookkeeping is off");
+    assert_eq!(
+        accepted.len() as u64,
+        cycles * 2,
+        "acceptance bookkeeping is off"
+    );
     handle.stop();
 
     let io_totals = storage.counters();

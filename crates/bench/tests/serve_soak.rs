@@ -97,7 +97,9 @@ fn start_server(data_dir: &Path) -> (Child, String) {
         .expect("spawn alserve");
     let stdout = child.stdout.take().expect("piped stdout");
     let mut line = String::new();
-    BufReader::new(stdout).read_line(&mut line).expect("read discovery line");
+    BufReader::new(stdout)
+        .read_line(&mut line)
+        .expect("read discovery line");
     let addr = line
         .trim()
         .strip_prefix("alserve listening on ")
@@ -159,7 +161,11 @@ fn kill_restart_soak_loses_no_accepted_jobs_and_stays_bit_identical() {
         // no flush, no goodbye — exactly a crash. Alternate cycles kill
         // immediately after the accept ack so the victims are still
         // queued or mid-solve.
-        let delay = if cycle % 2 == 0 { 0 } else { splitmix64(&mut rng) % 8 };
+        let delay = if cycle % 2 == 0 {
+            0
+        } else {
+            splitmix64(&mut rng) % 8
+        };
         std::thread::sleep(Duration::from_millis(delay));
         child.kill().expect("SIGKILL alserve");
         child.wait().expect("reap alserve");
@@ -224,7 +230,11 @@ fn kill_restart_soak_loses_no_accepted_jobs_and_stays_bit_identical() {
             "job {id} diverged from the uninterrupted reference after {kills} kills"
         );
     }
-    assert_eq!(accepted.len() as u64, cycles * 2, "acceptance bookkeeping is off");
+    assert_eq!(
+        accepted.len() as u64,
+        cycles * 2,
+        "acceptance bookkeeping is off"
+    );
     assert_eq!(kills, cycles);
     assert!(
         pending_observed > 0,

@@ -7,8 +7,8 @@
 //! [`alrescha_sim::ExecutionReport`].
 
 use alrescha_sim::{
-    BreakerStats, Engine, ExecBudget, ExecutionReport, FaultCounters, FaultPlan,
-    InjectorSnapshot, PageRankConfig, RecoveryPolicy, SimConfig, SimError,
+    BreakerStats, Engine, ExecBudget, ExecutionReport, FaultCounters, FaultPlan, InjectorSnapshot,
+    PageRankConfig, RecoveryPolicy, SimConfig, SimError,
 };
 use alrescha_sparse::{Coo, Csr, MetaData};
 
@@ -377,12 +377,8 @@ impl Alrescha {
                 "locally-dense blocks produced by conversion",
             )
             .add(prog.matrix().blocks().len() as u64);
-            m.counter(
-                "alrescha_convert_rows_total",
-                true,
-                "matrix rows converted",
-            )
-            .add(prog.matrix().rows() as u64);
+            m.counter("alrescha_convert_rows_total", true, "matrix rows converted")
+                .add(prog.matrix().rows() as u64);
         }
         Ok(prog)
     }
@@ -404,7 +400,12 @@ impl Alrescha {
                 let csr = Csr::from_coo(a);
                 let out_degrees = (0..csr.rows()).map(|u| csr.row_nnz(u)).collect();
                 let (alf, table) = convert(kernel, &a.transpose(), self.config().omega)?;
-                Ok(ProgrammedKernel::build(kernel, alf, table, Some(out_degrees)))
+                Ok(ProgrammedKernel::build(
+                    kernel,
+                    alf,
+                    table,
+                    Some(out_degrees),
+                ))
             }
             _ => {
                 let (alf, table) = convert(kernel, a, self.config().omega)?;
@@ -870,10 +871,7 @@ mod tests {
         // Default policy is FailFast.
         let err = acc.spmv(&prog, &vec![1.0; coo.cols()]).unwrap_err();
         assert!(
-            matches!(
-                err,
-                CoreError::Sim(SimError::FaultDetected { .. })
-            ),
+            matches!(err, CoreError::Sim(SimError::FaultDetected { .. })),
             "{err:?}"
         );
     }

@@ -53,18 +53,17 @@ pub use fleet::{
     JobOutput, JobRecord, JobSpec, PreflightHook, Station,
 };
 pub use program::{EntryLayout, FieldSpec, ProgramBinary};
-pub use storage::{
-    ChaosStorage, IoFaultCounters, IoFaultKind, IoFaultPlan, RealStorage, StorageFile, StorageIo,
-};
 pub use solver::{
     AcceleratedMgPcg, AcceleratedPcg, SolveOutcome, SolverOptions, TerminationReason,
+};
+pub use storage::{
+    ChaosStorage, IoFaultCounters, IoFaultKind, IoFaultPlan, RealStorage, StorageFile, StorageIo,
 };
 
 // Fault-injection and runtime surface, re-exported so facade users configure
 // resilience without importing the simulator crate directly.
 pub use alrescha_sim::{
-    BreakerStats, ExecBudget, FaultCounters, FaultPlan, FaultSite, InjectorSnapshot,
-    RecoveryPolicy,
+    BreakerStats, ExecBudget, FaultCounters, FaultPlan, FaultSite, InjectorSnapshot, RecoveryPolicy,
 };
 
 use std::fmt;

@@ -354,7 +354,10 @@ impl AcceleratedPcg {
     /// [`CoreError::WrongKernel`] if either program encodes the wrong
     /// kernel; [`CoreError::InvalidProgram`] if the two programs disagree
     /// on the system size.
-    pub fn from_programs(spmv_prog: ProgrammedKernel, symgs_prog: ProgrammedKernel) -> Result<Self> {
+    pub fn from_programs(
+        spmv_prog: ProgrammedKernel,
+        symgs_prog: ProgrammedKernel,
+    ) -> Result<Self> {
         if spmv_prog.kernel() != KernelType::SpMv {
             return Err(CoreError::WrongKernel {
                 programmed: spmv_prog.kernel(),
@@ -754,7 +757,10 @@ mod tests {
             TerminationReason::from_error(&CoreError::Breakdown { iteration: 1 }),
             None
         );
-        assert_eq!(TerminationReason::Resumed.to_string(), "converged (resumed)");
+        assert_eq!(
+            TerminationReason::Resumed.to_string(),
+            "converged (resumed)"
+        );
     }
 }
 

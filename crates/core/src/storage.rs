@@ -484,9 +484,13 @@ enum WriteFault {
     /// Fail with `EINTR`; nothing written.
     Interrupt,
     /// Write a prefix of `cut` bytes for real, then fail with `ENOSPC`.
-    Tear { cut: usize },
+    Tear {
+        cut: usize,
+    },
     /// Accept only `keep` bytes (a legal short write; the bytes are real).
-    Short { keep: usize },
+    Short {
+        keep: usize,
+    },
 }
 
 impl StorageFile for ChaosFile {
@@ -675,7 +679,11 @@ mod tests {
             })
             .collect();
         assert_eq!(runs[0], runs[1], "same seed must fire the same faults");
-        assert!(runs[0].all_kinds_fired(), "aggressive plan left a kind silent: {:?}", runs[0]);
+        assert!(
+            runs[0].all_kinds_fired(),
+            "aggressive plan left a kind silent: {:?}",
+            runs[0]
+        );
     }
 
     #[test]
@@ -721,7 +729,10 @@ mod tests {
             assert_eq!(&bytes[i as usize * 8..][..8], &i.to_le_bytes());
         }
         let c = io.counters();
-        assert!(c.short_writes > 0 && c.interrupts > 0, "faults never fired: {c:?}");
+        assert!(
+            c.short_writes > 0 && c.interrupts > 0,
+            "faults never fired: {c:?}"
+        );
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -769,6 +780,8 @@ mod tests {
     #[test]
     fn storage_full_predicate_matches_injected_and_kind_errors() {
         assert!(is_storage_full(&io::Error::from_raw_os_error(ENOSPC)));
-        assert!(!is_storage_full(&io::Error::from(io::ErrorKind::Interrupted)));
+        assert!(!is_storage_full(&io::Error::from(
+            io::ErrorKind::Interrupted
+        )));
     }
 }

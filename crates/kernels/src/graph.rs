@@ -241,11 +241,7 @@ mod tests {
             coo.push(i, (i + 1) % 3, 1.0);
         }
         let (ranks, _) = pagerank(&Csr::from_coo(&coo), &PageRankOptions::default()).unwrap();
-        assert!(alrescha_sparse::approx_eq(
-            &ranks,
-            &[1.0 / 3.0; 3],
-            1e-8
-        ));
+        assert!(alrescha_sparse::approx_eq(&ranks, &[1.0 / 3.0; 3], 1e-8));
     }
 
     #[test]

@@ -189,12 +189,8 @@ fn run(args: &Args) -> Result<bool, String> {
     };
     let (alf, table) =
         convert(args.kernel, &coo, args.omega).map_err(|e| format!("conversion failed: {e}"))?;
-    let program = ProgramBinary::encode(
-        args.kernel,
-        &table,
-        coo.rows().max(coo.cols()),
-        args.omega,
-    );
+    let program =
+        ProgramBinary::encode(args.kernel, &table, coo.rows().max(coo.cols()), args.omega);
     let config = SimConfig::paper().with_omega(args.config_omega.unwrap_or(args.omega));
 
     let diags = verify(&program, &alf, &config);
@@ -279,9 +275,7 @@ fn print_rules(json: bool) {
         println!("[{}]", rows.join(","));
     } else {
         for r in RULES {
-            println!("{}  {:<7}  {}", r.code,
-                    r.severity.label(),
-                    r.summary);
+            println!("{}  {:<7}  {}", r.code, r.severity.label(), r.summary);
         }
     }
 }

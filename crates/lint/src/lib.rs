@@ -401,7 +401,10 @@ pub fn render_text(diagnostics: &[Diagnostic]) -> String {
 
 /// Number of diagnostics at exactly `severity`.
 pub fn count(diagnostics: &[Diagnostic], severity: Severity) -> usize {
-    diagnostics.iter().filter(|d| d.severity == severity).count()
+    diagnostics
+        .iter()
+        .filter(|d| d.severity == severity)
+        .count()
 }
 
 /// True when no diagnostic reaches [`Severity::Error`].

@@ -2,9 +2,9 @@
 //! documents each with the paper invariant it protects.
 
 use alrescha::convert::{AccessOrder, ConfigTable, DataPath, KernelType, OperandPort};
+use alrescha::program::EntryLayout;
 use alrescha::program::ProgramBinary;
 use alrescha_sim::SimConfig;
-use alrescha::program::EntryLayout;
 use alrescha_sparse::alf::AlfLayout;
 use alrescha_sparse::{Alf, BlockKind};
 

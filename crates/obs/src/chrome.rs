@@ -64,7 +64,11 @@ fn metadata_event(tid: u64, name: &str) -> String {
 fn phase_event(name: &str, ph: &str, ts_ns: u64, tid: u64, args: Option<&str>) -> String {
     let mut out = String::from("{\"name\":");
     write_escaped(name, &mut out);
-    let _ = write!(out, ",\"ph\":\"{ph}\",\"ts\":{},\"pid\":1,\"tid\":{tid}", ts_us(ts_ns));
+    let _ = write!(
+        out,
+        ",\"ph\":\"{ph}\",\"ts\":{},\"pid\":1,\"tid\":{tid}",
+        ts_us(ts_ns)
+    );
     if ph == "i" {
         // Instant scope: thread.
         out.push_str(",\"s\":\"t\"");
@@ -188,13 +192,18 @@ mod tests {
         assert_eq!(phases, ["M", "B", "X", "i", "E"]);
         let meta = &events[0];
         assert_eq!(
-            meta.get("args").and_then(|a| a.get("name")).and_then(Value::as_str),
+            meta.get("args")
+                .and_then(|a| a.get("name"))
+                .and_then(Value::as_str),
             Some("worker-0")
         );
         // Device event carries its true cycle count.
         let block = &events[2];
         assert_eq!(
-            block.get("args").and_then(|a| a.get("cycles")).and_then(Value::as_f64),
+            block
+                .get("args")
+                .and_then(|a| a.get("cycles"))
+                .and_then(Value::as_f64),
             Some(60.0)
         );
     }
@@ -215,7 +224,10 @@ mod tests {
             }],
         });
         let doc = Value::parse(&export_chrome_trace(&tele)).expect("parses");
-        let events = doc.get("traceEvents").and_then(Value::as_arr).expect("events");
+        let events = doc
+            .get("traceEvents")
+            .and_then(Value::as_arr)
+            .expect("events");
         let block = events
             .iter()
             .find(|e| e.get("ph").and_then(Value::as_str) == Some("X"))

@@ -405,7 +405,10 @@ mod tests {
     fn accessors_navigate_objects() {
         let v = Value::parse(r#"{"xs":[1,2],"name":"n"}"#).expect("parse");
         assert_eq!(v.get("name").and_then(Value::as_str), Some("n"));
-        assert_eq!(v.get("xs").and_then(Value::as_arr).map(<[Value]>::len), Some(2));
+        assert_eq!(
+            v.get("xs").and_then(Value::as_arr).map(<[Value]>::len),
+            Some(2)
+        );
         assert_eq!(v.get("missing"), None);
     }
 }

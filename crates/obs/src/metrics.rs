@@ -272,8 +272,7 @@ impl Registry {
                     let v = f64::from_bits(c.load(Ordering::Relaxed));
                     let mut num = String::new();
                     crate::json::write_number(v, &mut num);
-                    let _ = write!(
-                        out,",\"type\":\"gauge\",\"value\":{num}");
+                    let _ = write!(out, ",\"type\":\"gauge\",\"value\":{num}");
                 }
                 Cell::Histogram(h) => {
                     let _ = write!(
@@ -292,17 +291,12 @@ impl Registry {
                             .bounds
                             .get(i)
                             .map_or_else(|| "\"+Inf\"".to_owned(), ToString::to_string);
-                        let _ = write!(
-                        out,"{{\"le\":{le},\"count\":{cumulative}}}");
+                        let _ = write!(out, "{{\"le\":{le},\"count\":{cumulative}}}");
                     }
                     out.push(']');
                 }
             }
-            let _ = write!(
-                        out,
-                ",\"deterministic\":{}}}",
-                entry.deterministic
-            );
+            let _ = write!(out, ",\"deterministic\":{}}}", entry.deterministic);
         }
         out.push_str("]}");
         out
@@ -335,13 +329,11 @@ impl Registry {
             }
             match &entry.cell {
                 Cell::Counter(c) => {
-                    let _ = writeln!(
-                        out,"{name} {}", c.load(Ordering::Relaxed));
+                    let _ = writeln!(out, "{name} {}", c.load(Ordering::Relaxed));
                 }
                 Cell::Gauge(c) => {
                     let v = f64::from_bits(c.load(Ordering::Relaxed));
-                    let _ = writeln!(
-                        out,"{name} {v}");
+                    let _ = writeln!(out, "{name} {v}");
                 }
                 Cell::Histogram(h) => {
                     let mut cumulative = 0u64;
@@ -364,7 +356,10 @@ impl Registry {
                         format!("{{{labels}}}")
                     };
                     let _ = writeln!(
-                        out,"{family}_sum{suffix} {}", h.sum.load(Ordering::Relaxed));
+                        out,
+                        "{family}_sum{suffix} {}",
+                        h.sum.load(Ordering::Relaxed)
+                    );
                     let _ = writeln!(
                         out,
                         "{family}_count{suffix} {}",
@@ -407,7 +402,11 @@ mod tests {
         c.add(4);
         assert_eq!(c.value(), 5);
         // A second registration shares the cell.
-        assert_eq!(reg.counter("alrescha_test_total", true, "test counter").value(), 5);
+        assert_eq!(
+            reg.counter("alrescha_test_total", true, "test counter")
+                .value(),
+            5
+        );
 
         let g = reg.gauge("alrescha_test_rate", true, "test gauge");
         g.set(0.875);
@@ -453,7 +452,8 @@ mod tests {
     fn deterministic_view_filters_wall_clock_metrics() {
         let reg = open_registry();
         reg.counter("sim_cycles_total", true, "").add(100);
-        reg.histogram("queue_wait_us", MICROS_BUCKETS, false, "").observe(42);
+        reg.histogram("queue_wait_us", MICROS_BUCKETS, false, "")
+            .observe(42);
         let det = reg.deterministic_json();
         assert!(det.contains("sim_cycles_total"));
         assert!(!det.contains("queue_wait_us"));
@@ -481,18 +481,42 @@ mod tests {
     #[test]
     fn labelled_family_emits_help_and_type_once() {
         let reg = open_registry();
-        reg.counter("alserve_slo_breach_total{tenant=\"a\"}", false, "slo breaches")
-            .add(2);
-        reg.counter("alserve_slo_breach_total{tenant=\"b\"}", false, "slo breaches")
-            .add(5);
-        reg.histogram("alserve_slo_e2e_us{tenant=\"a\"}", &[10, 100], false, "e2e latency")
-            .observe(42);
+        reg.counter(
+            "alserve_slo_breach_total{tenant=\"a\"}",
+            false,
+            "slo breaches",
+        )
+        .add(2);
+        reg.counter(
+            "alserve_slo_breach_total{tenant=\"b\"}",
+            false,
+            "slo breaches",
+        )
+        .add(5);
+        reg.histogram(
+            "alserve_slo_e2e_us{tenant=\"a\"}",
+            &[10, 100],
+            false,
+            "e2e latency",
+        )
+        .observe(42);
         let prom = reg.to_prometheus();
-        assert_eq!(prom.matches("# HELP alserve_slo_breach_total ").count(), 1, "{prom}");
-        assert_eq!(prom.matches("# TYPE alserve_slo_breach_total counter").count(), 1);
+        assert_eq!(
+            prom.matches("# HELP alserve_slo_breach_total ").count(),
+            1,
+            "{prom}"
+        );
+        assert_eq!(
+            prom.matches("# TYPE alserve_slo_breach_total counter")
+                .count(),
+            1
+        );
         assert!(prom.contains("alserve_slo_breach_total{tenant=\"a\"} 2"));
         assert!(prom.contains("alserve_slo_breach_total{tenant=\"b\"} 5"));
-        assert!(prom.contains("alserve_slo_e2e_us_bucket{tenant=\"a\",le=\"100\"} 1"), "{prom}");
+        assert!(
+            prom.contains("alserve_slo_e2e_us_bucket{tenant=\"a\",le=\"100\"} 1"),
+            "{prom}"
+        );
         assert!(prom.contains("alserve_slo_e2e_us_sum{tenant=\"a\"} 42"));
         assert!(prom.contains("alserve_slo_e2e_us_count{tenant=\"a\"} 1"));
     }

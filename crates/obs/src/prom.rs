@@ -105,16 +105,31 @@ pub fn validate_prometheus(body: &str) -> Vec<PromIssue> {
             let name = parts.next().unwrap_or("");
             match kind {
                 "HELP" if !metric_name_ok(name) => {
-                    push(line, format!("HELP for invalid metric name `{name}`"), &mut issues);
+                    push(
+                        line,
+                        format!("HELP for invalid metric name `{name}`"),
+                        &mut issues,
+                    );
                 }
                 "HELP" => {}
                 "TYPE" => {
                     let ty = parts.next().unwrap_or("");
                     if !metric_name_ok(name) {
-                        push(line, format!("TYPE for invalid metric name `{name}`"), &mut issues);
+                        push(
+                            line,
+                            format!("TYPE for invalid metric name `{name}`"),
+                            &mut issues,
+                        );
                     }
-                    if !matches!(ty, "counter" | "gauge" | "histogram" | "summary" | "untyped") {
-                        push(line, format!("unknown TYPE `{ty}` for `{name}`"), &mut issues);
+                    if !matches!(
+                        ty,
+                        "counter" | "gauge" | "histogram" | "summary" | "untyped"
+                    ) {
+                        push(
+                            line,
+                            format!("unknown TYPE `{ty}` for `{name}`"),
+                            &mut issues,
+                        );
                     }
                     if types.insert(name.to_owned(), ty.to_owned()).is_some() {
                         push(line, format!("duplicate TYPE for `{name}`"), &mut issues);
@@ -137,13 +152,19 @@ pub fn validate_prometheus(body: &str) -> Vec<PromIssue> {
             push(line, format!("malformed sample `{trimmed}`"), &mut issues);
             continue;
         };
-        if value.parse::<f64>().is_err()
-            && !matches!(value, "+Inf" | "-Inf" | "NaN")
-        {
-            push(line, format!("non-numeric sample value `{value}`"), &mut issues);
+        if value.parse::<f64>().is_err() && !matches!(value, "+Inf" | "-Inf" | "NaN") {
+            push(
+                line,
+                format!("non-numeric sample value `{value}`"),
+                &mut issues,
+            );
         }
         let Some((name, labels)) = parse_sample_name(name_part) else {
-            push(line, format!("malformed sample name `{name_part}`"), &mut issues);
+            push(
+                line,
+                format!("malformed sample name `{name_part}`"),
+                &mut issues,
+            );
             continue;
         };
         if !metric_name_ok(&name) {
@@ -152,15 +173,26 @@ pub fn validate_prometheus(body: &str) -> Vec<PromIssue> {
         }
         for (k, _) in &labels {
             if !label_ok(k) {
-                push(line, format!("invalid label name `{k}` on `{name}`"), &mut issues);
+                push(
+                    line,
+                    format!("invalid label name `{k}` on `{name}`"),
+                    &mut issues,
+                );
             }
         }
         let family = family_of(&name, &types);
         sampled.entry(family.clone()).or_insert(line);
         if name.ends_with("_bucket") && types.get(&family).is_some_and(|t| t == "histogram") {
-            let le = labels.iter().find(|(k, _)| k == "le").map(|(_, v)| v.clone());
+            let le = labels
+                .iter()
+                .find(|(k, _)| k == "le")
+                .map(|(_, v)| v.clone());
             let Some(le) = le else {
-                push(line, format!("histogram bucket `{name}` missing le label"), &mut issues);
+                push(
+                    line,
+                    format!("histogram bucket `{name}` missing le label"),
+                    &mut issues,
+                );
                 continue;
             };
             let others: Vec<String> = labels
@@ -174,7 +206,10 @@ pub fn validate_prometheus(body: &str) -> Vec<PromIssue> {
             if cum < entry.0 {
                 push(
                     line,
-                    format!("histogram `{family}` cumulative bucket count decreases ({cum} < {})", entry.0),
+                    format!(
+                        "histogram `{family}` cumulative bucket count decreases ({cum} < {})",
+                        entry.0
+                    ),
                     &mut issues,
                 );
             }
@@ -213,10 +248,20 @@ mod tests {
         let reg = Registry::new(Arc::new(AtomicBool::new(true)));
         reg.counter("alserve_jobs_total", false, "jobs").add(3);
         reg.gauge("alserve_queue_depth", false, "depth").set(2.0);
-        reg.histogram("alserve_solve_us{tenant=\"a\"}", CYCLE_BUCKETS, false, "lat")
-            .observe(17);
-        reg.histogram("alserve_solve_us{tenant=\"b\"}", CYCLE_BUCKETS, false, "lat")
-            .observe(90);
+        reg.histogram(
+            "alserve_solve_us{tenant=\"a\"}",
+            CYCLE_BUCKETS,
+            false,
+            "lat",
+        )
+        .observe(17);
+        reg.histogram(
+            "alserve_solve_us{tenant=\"b\"}",
+            CYCLE_BUCKETS,
+            false,
+            "lat",
+        )
+        .observe(90);
         let body = reg.to_prometheus();
         let issues = validate_prometheus(&body);
         assert!(issues.is_empty(), "{issues:?}\n{body}");
@@ -231,7 +276,9 @@ mod tests {
         let body = "m 1\n# TYPE m counter\n";
         let issues = validate_prometheus(body);
         assert!(
-            issues.iter().any(|i| i.message.contains("after its first sample")),
+            issues
+                .iter()
+                .any(|i| i.message.contains("after its first sample")),
             "{issues:?}"
         );
     }
@@ -246,8 +293,14 @@ h_sum 3
 h_count 2
 ";
         let issues = validate_prometheus(body);
-        assert!(issues.iter().any(|i| i.message.contains("decreases")), "{issues:?}");
-        assert!(issues.iter().any(|i| i.message.contains("+Inf")), "{issues:?}");
+        assert!(
+            issues.iter().any(|i| i.message.contains("decreases")),
+            "{issues:?}"
+        );
+        assert!(
+            issues.iter().any(|i| i.message.contains("+Inf")),
+            "{issues:?}"
+        );
     }
 
     #[test]

@@ -88,10 +88,7 @@ pub fn validate_chrome_trace(doc: &Value) -> Result<TraceSummary, String> {
                 .and_then(Value::as_f64)
                 .ok_or_else(|| format!("event {i}: missing numeric field '{field}'"))?;
         }
-        let tid = event
-            .get("tid")
-            .and_then(Value::as_f64)
-            .unwrap_or_default() as u64;
+        let tid = event.get("tid").and_then(Value::as_f64).unwrap_or_default() as u64;
         match ph {
             "M" => {
                 if name == "thread_name" {
@@ -191,10 +188,7 @@ pub fn stitch_traces(sources: &[(String, Value)]) -> Result<Value, String> {
                 return Err(format!("source '{label}': non-object trace event"));
             };
             #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-            let old_tid = event
-                .get("tid")
-                .and_then(Value::as_f64)
-                .unwrap_or_default() as u64;
+            let old_tid = event.get("tid").and_then(Value::as_f64).unwrap_or_default() as u64;
             let new_tid = *tid_map.entry(old_tid).or_insert_with(|| {
                 let t = next_tid;
                 next_tid += 1;
@@ -212,10 +206,7 @@ pub fn stitch_traces(sources: &[(String, Value)]) -> Result<Value, String> {
             out_events.push(Value::Obj(rewritten));
         }
     }
-    let stitched = Value::Obj(vec![(
-        "traceEvents".to_owned(),
-        Value::Arr(out_events),
-    )]);
+    let stitched = Value::Obj(vec![("traceEvents".to_owned(), Value::Arr(out_events))]);
     validate_chrome_trace(&stitched).map_err(|e| format!("stitched trace invalid: {e}"))?;
     Ok(stitched)
 }
@@ -277,10 +268,7 @@ pub fn span_self_times(doc: &Value) -> Vec<SpanStat> {
         ) else {
             continue;
         };
-        let tid = event
-            .get("tid")
-            .and_then(Value::as_f64)
-            .unwrap_or_default() as u64;
+        let tid = event.get("tid").and_then(Value::as_f64).unwrap_or_default() as u64;
         let stack = stacks.entry(tid).or_default();
         match ph {
             "B" => stack.push((name.to_owned(), ts, 0.0)),
@@ -347,11 +335,9 @@ mod tests {
 
     #[test]
     fn rejects_crossed_spans_and_orphan_ends() {
-        let crossed = doc(
-            r#"{"name":"a","ph":"B","ts":0,"pid":1,"tid":1},
+        let crossed = doc(r#"{"name":"a","ph":"B","ts":0,"pid":1,"tid":1},
                {"name":"b","ph":"B","ts":1,"pid":1,"tid":1},
-               {"name":"a","ph":"E","ts":2,"pid":1,"tid":1}"#,
-        );
+               {"name":"a","ph":"E","ts":2,"pid":1,"tid":1}"#);
         assert!(validate_chrome_trace(&crossed)
             .expect_err("crossed")
             .contains("nesting violated"));
@@ -390,23 +376,26 @@ mod tests {
                {"name":"other","ph":"B","ts":3,"pid":1,"tid":2},
                {"name":"other","ph":"E","ts":4,"pid":1,"tid":2}"#,
         );
-        let stitched = stitch_traces(&[
-            ("client".to_owned(), client),
-            ("server".to_owned(), server),
-        ])
-        .expect("stitches");
+        let stitched =
+            stitch_traces(&[("client".to_owned(), client), ("server".to_owned(), server)])
+                .expect("stitches");
         let summary = validate_chrome_trace(&stitched).expect("valid");
         // 1 client track + 2 server tracks + shared metadata track 0.
         assert_eq!(summary.tracks.len(), 4);
         let ids = trace_ids(&stitched);
         assert_eq!(ids, ["00000000deadbeef"]);
         // Both processes named.
-        let events = stitched.get("traceEvents").and_then(Value::as_arr).expect("arr");
+        let events = stitched
+            .get("traceEvents")
+            .and_then(Value::as_arr)
+            .expect("arr");
         let process_names: Vec<&str> = events
             .iter()
             .filter(|e| e.get("name").and_then(Value::as_str) == Some("process_name"))
             .filter_map(|e| {
-                e.get("args").and_then(|a| a.get("name")).and_then(Value::as_str)
+                e.get("args")
+                    .and_then(|a| a.get("name"))
+                    .and_then(Value::as_str)
             })
             .collect();
         assert_eq!(process_names, ["client", "server"]);
@@ -421,13 +410,11 @@ mod tests {
 
     #[test]
     fn self_time_subtracts_children() {
-        let d = doc(
-            r#"{"name":"outer","ph":"B","ts":0,"pid":1,"tid":1},
+        let d = doc(r#"{"name":"outer","ph":"B","ts":0,"pid":1,"tid":1},
                {"name":"inner","ph":"B","ts":2,"pid":1,"tid":1},
                {"name":"inner","ph":"E","ts":8,"pid":1,"tid":1},
                {"name":"device","ph":"X","ts":8,"dur":1,"pid":1,"tid":1},
-               {"name":"outer","ph":"E","ts":10,"pid":1,"tid":1}"#,
-        );
+               {"name":"outer","ph":"E","ts":10,"pid":1,"tid":1}"#);
         let stats = span_self_times(&d);
         let outer = stats.iter().find(|s| s.name == "outer").expect("outer");
         assert!((outer.total_us - 10.0).abs() < 1e-9);

@@ -256,7 +256,11 @@ impl ProxyShared {
                 NetFaultKind::Disconnect => "alchaos_net_disconnect_total",
             };
             tele.metrics()
-                .counter(name, true, "network faults injected by the ALSV chaos proxy")
+                .counter(
+                    name,
+                    true,
+                    "network faults injected by the ALSV chaos proxy",
+                )
                 .inc();
             tele.instant(format!("alchaos.net.{kind}"));
         }
@@ -560,7 +564,10 @@ mod tests {
         let mut stream = TcpStream::connect(proxy.addr()).unwrap();
         for _ in 0..8 {
             Frame::Ping.write_to(&mut stream).unwrap();
-            assert!(matches!(Frame::read_from(&mut stream).unwrap(), Frame::Pong));
+            assert!(matches!(
+                Frame::read_from(&mut stream).unwrap(),
+                Frame::Pong
+            ));
         }
         assert_eq!(proxy.counters(), NetFaultCounters::default());
         proxy.stop();

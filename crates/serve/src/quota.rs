@@ -156,7 +156,10 @@ mod tests {
         );
         // Rejections do not consume slots: asking again at the same
         // occupancy yields the same hint, not a growing one.
-        assert_eq!(q.try_admit("t"), QuotaDecision::Reject { retry_after: hint });
+        assert_eq!(
+            q.try_admit("t"),
+            QuotaDecision::Reject { retry_after: hint }
+        );
         // Recovery charges bypass the cap and push occupancy over it.
         q.charge("t"); // 3 in flight, cap 2 → excess 2
         assert_eq!(
@@ -176,7 +179,10 @@ mod tests {
         // occupancy drops below the cap.
         q.release("t"); // 3
         q.release("t"); // 2
-        assert_eq!(q.try_admit("t"), QuotaDecision::Reject { retry_after: hint });
+        assert_eq!(
+            q.try_admit("t"),
+            QuotaDecision::Reject { retry_after: hint }
+        );
         q.release("t"); // 1 < cap
         assert_eq!(q.try_admit("t"), QuotaDecision::Admit);
         assert_eq!(q.rejections(), 5);

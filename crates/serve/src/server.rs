@@ -351,9 +351,7 @@ impl JobQueue {
     }
 
     fn drain_all(&mut self) -> Vec<QueuedJob> {
-        std::mem::take(&mut self.entries)
-            .into_values()
-            .collect()
+        std::mem::take(&mut self.entries).into_values().collect()
     }
 }
 
@@ -566,7 +564,9 @@ impl Server {
     pub fn start(self) -> Result<ServerHandle, ServerError> {
         let config = self.config;
         std::fs::create_dir_all(&config.data_dir)?;
-        config.flight.record(flight::EV_START, 0, 0, "alserve start");
+        config
+            .flight
+            .record(flight::EV_START, 0, 0, "alserve start");
         let mut journal = Journal::open_with(
             config.data_dir.join("jobs.wal"),
             Arc::clone(&config.storage),
@@ -616,7 +616,9 @@ impl Server {
             if let Some(tele) = &hook_tele {
                 let trace = lock(&hook_traces).get(&job_id).copied().unwrap_or(0);
                 if trace != 0 {
-                    tele.instant(format!("trace:{trace:016x}:checkpoint:{job_id}:{iteration}"));
+                    tele.instant(format!(
+                        "trace:{trace:016x}:checkpoint:{job_id}:{iteration}"
+                    ));
                 }
             }
             hook_flight.record(flight::EV_CHECKPOINT, job_id, iteration, "ckpt");
@@ -919,8 +921,7 @@ fn connection_loop(inner: &Arc<Inner>, stream: Stream) {
         let frame = match Frame::read_from(&mut stream) {
             Ok(f) => f,
             Err(WireError::Io(e))
-                if e.kind() == io::ErrorKind::WouldBlock
-                    || e.kind() == io::ErrorKind::TimedOut =>
+                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
             {
                 continue;
             }
@@ -1226,8 +1227,12 @@ fn scrape(inner: &Arc<Inner>, kind: ScrapeKind) -> String {
             };
             // Refresh the point-in-time families right before rendering.
             let m = tele.metrics();
-            m.gauge("alserve_queue_depth", false, "queued (not yet running) jobs")
-                .set(queue_depth as f64);
+            m.gauge(
+                "alserve_queue_depth",
+                false,
+                "queued (not yet running) jobs",
+            )
+            .set(queue_depth as f64);
             m.gauge("alserve_active_jobs", false, "queued + running jobs")
                 .set(inner.active_jobs() as f64);
             m.gauge(

@@ -20,16 +20,7 @@ use std::collections::{BTreeMap, HashMap};
 
 /// Upper bounds (µs) of the SLO latency buckets; the implicit final
 /// bucket is `+Inf`. Geometric ×4 steps spanning 100 µs … ~1.6 s.
-pub const SLO_BUCKETS_US: [u64; 8] = [
-    100,
-    400,
-    1_600,
-    6_400,
-    25_600,
-    102_400,
-    409_600,
-    1_638_400,
-];
+pub const SLO_BUCKETS_US: [u64; 8] = [100, 400, 1_600, 6_400, 25_600, 102_400, 409_600, 1_638_400];
 
 /// A fixed-bucket latency histogram with order-independent merge.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -225,9 +216,7 @@ impl SloTable {
 
     /// Current burn rate for `tenant` (`0.0` for unknown tenants).
     pub fn burn_rate(&self, tenant: &str) -> f64 {
-        self.tenants
-            .get(tenant)
-            .map_or(0.0, |t| t.burn.burn_rate())
+        self.tenants.get(tenant).map_or(0.0, |t| t.burn.burn_rate())
     }
 
     /// The configured end-to-end target (µs).

@@ -79,12 +79,12 @@ fn stitched_client_server_traces_share_one_trace_id_under_chaos() {
     let handle = Server::new(server_config(dir.clone(), Some(server_tele.clone())))
         .start()
         .unwrap();
-    let proxy = ChaosProxy::start(handle.addr().to_owned(), NetFaultPlan::aggressive(0xBEEF))
-        .unwrap();
+    let proxy =
+        ChaosProxy::start(handle.addr().to_owned(), NetFaultPlan::aggressive(0xBEEF)).unwrap();
 
     let client_tele = Telemetry::new();
-    let mut client = Client::tcp(proxy.addr().to_owned(), fast_policy(42))
-        .with_telemetry(client_tele.clone());
+    let mut client =
+        Client::tcp(proxy.addr().to_owned(), fast_policy(42)).with_telemetry(client_tele.clone());
     let job_id = client.submit("acme", &sample_job(3, 5)).unwrap();
     let trace_id = client
         .trace_id_of(job_id)
@@ -128,7 +128,9 @@ fn trace_ids_are_deterministic_across_chaos_replays() {
     let mut observed = Vec::new();
     for round in 0..2 {
         let dir = tempdir(&format!("det-{round}"));
-        let handle = Server::new(server_config(dir.clone(), None)).start().unwrap();
+        let handle = Server::new(server_config(dir.clone(), None))
+            .start()
+            .unwrap();
         let proxy =
             ChaosProxy::start(handle.addr().to_owned(), NetFaultPlan::aggressive(7)).unwrap();
         let mut client = Client::tcp(proxy.addr().to_owned(), fast_policy(99));
@@ -136,7 +138,10 @@ fn trace_ids_are_deterministic_across_chaos_replays() {
         let b = client.submit("acme", &sample_job(3, 2)).unwrap();
         assert!(client.wait(a).unwrap().converged);
         assert!(client.wait(b).unwrap().converged);
-        observed.push((client.trace_id_of(a).unwrap(), client.trace_id_of(b).unwrap()));
+        observed.push((
+            client.trace_id_of(a).unwrap(),
+            client.trace_id_of(b).unwrap(),
+        ));
         proxy.stop();
         handle.stop();
         let _ = std::fs::remove_dir_all(&dir);
@@ -155,7 +160,9 @@ fn trace_ids_are_deterministic_across_chaos_replays() {
 fn scrape_serves_prometheus_health_jobs_and_top() {
     let dir = tempdir("scrape");
     let tele = Telemetry::new();
-    let handle = Server::new(server_config(dir.clone(), Some(tele))).start().unwrap();
+    let handle = Server::new(server_config(dir.clone(), Some(tele)))
+        .start()
+        .unwrap();
     let mut client = Client::tcp(handle.addr().to_owned(), fast_policy(3));
 
     let job_id = client.submit("acme", &sample_job(3, 9)).unwrap();
@@ -163,7 +170,10 @@ fn scrape_serves_prometheus_health_jobs_and_top() {
 
     let metrics = client.scrape(ScrapeKind::Metrics).unwrap();
     let issues = validate_prometheus(&metrics);
-    assert!(issues.is_empty(), "scrape body must be valid Prometheus: {issues:?}");
+    assert!(
+        issues.is_empty(),
+        "scrape body must be valid Prometheus: {issues:?}"
+    );
     assert!(
         metrics.contains("alserve_slo_e2e_us"),
         "per-tenant SLO histograms must be exposed: {metrics}"
@@ -209,7 +219,9 @@ fn scrape_serves_prometheus_health_jobs_and_top() {
 #[test]
 fn observe_strips_solution_vector_for_passive_second_client() {
     let dir = tempdir("observe");
-    let handle = Server::new(server_config(dir.clone(), None)).start().unwrap();
+    let handle = Server::new(server_config(dir.clone(), None))
+        .start()
+        .unwrap();
     let addr = handle.addr().to_owned();
 
     let mut owner = Client::tcp(addr.clone(), fast_policy(1));
@@ -240,7 +252,9 @@ fn observe_strips_solution_vector_for_passive_second_client() {
 #[test]
 fn flight_dump_is_valid_and_agrees_with_journal_tail() {
     let dir = tempdir("flight");
-    let handle = Server::new(server_config(dir.clone(), None)).start().unwrap();
+    let handle = Server::new(server_config(dir.clone(), None))
+        .start()
+        .unwrap();
     let mut client = Client::tcp(handle.addr().to_owned(), fast_policy(8));
     let a = client.submit("acme", &sample_job(3, 1)).unwrap();
     let b = client.submit("acme", &sample_job(3, 2)).unwrap();
@@ -266,8 +280,14 @@ fn flight_dump_is_valid_and_agrees_with_journal_tail() {
         .map(|r| r.b)
         .collect();
     for id in [a, b] {
-        assert!(accepts.contains(&id), "job {id} accept missing from flight dump");
-        assert!(terminals.contains(&id), "job {id} terminal missing from flight dump");
+        assert!(
+            accepts.contains(&id),
+            "job {id} accept missing from flight dump"
+        );
+        assert!(
+            terminals.contains(&id),
+            "job {id} terminal missing from flight dump"
+        );
     }
 
     // Journal agreement: every terminal flight event corresponds to a

@@ -203,13 +203,16 @@ fn drain_parks_queued_jobs_and_restart_completes_them() {
     assert!(handle.is_draining());
     // New submissions are refused while draining (client sees Draining and
     // would retry; use a tight deadline to observe the refusal).
-    let mut impatient = Client::tcp(handle.addr().to_owned(), RetryPolicy {
-        deadline: Duration::from_millis(200),
-        max_attempts: 3,
-        base: Duration::from_millis(1),
-        cap: Duration::from_millis(4),
-        seed: 9,
-    });
+    let mut impatient = Client::tcp(
+        handle.addr().to_owned(),
+        RetryPolicy {
+            deadline: Duration::from_millis(200),
+            max_attempts: 3,
+            base: Duration::from_millis(1),
+            cap: Duration::from_millis(4),
+            seed: 9,
+        },
+    );
     assert!(matches!(
         impatient.submit("acme", &sample_job(2, 0)),
         Err(ClientError::Deadline { .. })
@@ -260,7 +263,10 @@ fn recovery_resumes_from_checkpoint_bit_identically() {
         let report = fleet.run_sequential(vec![spec_for(&job).with_id(1).with_checkpoint_every(3)]);
         assert!(report.jobs[0].result.is_ok());
         let checkpoints = captured.lock().unwrap();
-        assert!(checkpoints.len() >= 2, "job too short to test mid-solve resume");
+        assert!(
+            checkpoints.len() >= 2,
+            "job too short to test mid-solve resume"
+        );
         let mid = &checkpoints[checkpoints.len() / 2];
         assert!(mid.iteration > 0);
         mid.write_to_path(&dir.join("job-1.ckpt")).unwrap();
@@ -311,7 +317,10 @@ fn priority_order_is_strict_and_fifo_within_a_level() {
     let handle = Server::new(config).start().unwrap();
     let mut client = Client::tcp(handle.addr().to_owned(), fast_policy());
     for &(id, _) in &priorities {
-        assert!(client.wait(id).unwrap().converged, "job {id} did not converge");
+        assert!(
+            client.wait(id).unwrap().converged,
+            "job {id} did not converge"
+        );
     }
     handle.stop();
 
@@ -361,7 +370,10 @@ fn static_admission_gate_bounds_jobs_before_any_work() {
     infeasible.max_iters = 1_000_000;
     match client.submit("acme", &infeasible) {
         Err(ClientError::Rejected { reason }) => {
-            assert!(reason.contains("AL404"), "reason must cite the rule: {reason}");
+            assert!(
+                reason.contains("AL404"),
+                "reason must cite the rule: {reason}"
+            );
         }
         other => panic!("expected AL404 rejection, got {other:?}"),
     }

@@ -2169,7 +2169,10 @@ mod runtime_tests {
             backoff_cycles: 16,
         });
         let (_, report) = engine.run_spmv(&a, &x).unwrap();
-        assert!(report.faults.retries > 0, "plan must force at least one retry");
+        assert!(
+            report.faults.retries > 0,
+            "plan must force at least one retry"
+        );
         assert!(
             report.breakdown.recovery_cycles > 0,
             "retry redo work must be charged to the recovery bucket"

@@ -171,7 +171,10 @@ mod tests {
             context: "gemv checksum",
             cycle: 7,
         };
-        assert_eq!(e.to_string(), "numerical breakdown in gemv checksum (cycle 7)");
+        assert_eq!(
+            e.to_string(),
+            "numerical breakdown in gemv checksum (cycle 7)"
+        );
     }
 
     #[test]

@@ -543,7 +543,12 @@ impl FaultInjector {
     /// identically on every stream and every retry. This is a pure query;
     /// callers record application via
     /// [`FaultInjector::note_stuck_applied`].
-    pub fn memory_stuck(&self, block_row: usize, block_col: usize, words: usize) -> Option<(usize, u32)> {
+    pub fn memory_stuck(
+        &self,
+        block_row: usize,
+        block_col: usize,
+        words: usize,
+    ) -> Option<(usize, u32)> {
         let core = self.lock();
         let rate = core.plan.memory_stuck_rate;
         if rate <= 0.0 || words == 0 {
@@ -652,7 +657,9 @@ mod tests {
 
     #[test]
     fn disarmed_fcu_never_fires_and_consumes_no_randomness() {
-        let plan = FaultPlan::inert(5).with_fcu_lane_rate(1.0).with_lifo_drop_rate(0.5);
+        let plan = FaultPlan::inert(5)
+            .with_fcu_lane_rate(1.0)
+            .with_lifo_drop_rate(0.5);
         let armed = FaultInjector::new(plan.clone());
         let disarmed = FaultInjector::new(plan);
         armed.set_fcu_armed(true);
@@ -670,7 +677,9 @@ mod tests {
 
     #[test]
     fn window_gates_transient_faults() {
-        let plan = FaultPlan::inert(11).with_fcu_tree_rate(1.0).with_window(100, 200);
+        let plan = FaultPlan::inert(11)
+            .with_fcu_tree_rate(1.0)
+            .with_window(100, 200);
         let inj = FaultInjector::new(plan);
         inj.set_fcu_armed(true);
         inj.set_cycle(50);
@@ -740,16 +749,20 @@ mod tests {
             let _ = inj.tree_fault();
         }
         let snap = inj.snapshot();
-        let tail: Vec<Option<u32>> = (0..50).map(|_| {
-            inj.set_fcu_armed(true);
-            inj.tree_fault()
-        }).collect();
+        let tail: Vec<Option<u32>> = (0..50)
+            .map(|_| {
+                inj.set_fcu_armed(true);
+                inj.tree_fault()
+            })
+            .collect();
         let counters_after = inj.counters();
         inj.restore(&snap);
-        let replay: Vec<Option<u32>> = (0..50).map(|_| {
-            inj.set_fcu_armed(true);
-            inj.tree_fault()
-        }).collect();
+        let replay: Vec<Option<u32>> = (0..50)
+            .map(|_| {
+                inj.set_fcu_armed(true);
+                inj.tree_fault()
+            })
+            .collect();
         assert_eq!(tail, replay);
         assert_eq!(inj.counters(), counters_after);
     }
@@ -765,7 +778,13 @@ mod tests {
 
     #[test]
     fn counters_merge_and_delta() {
-        let a = FaultCounters { injected: 3, detected: 2, recovered: 1, retries: 4, degraded: 0 };
+        let a = FaultCounters {
+            injected: 3,
+            detected: 2,
+            recovered: 1,
+            retries: 4,
+            degraded: 0,
+        };
         let mut b = a;
         b.merge(&a);
         assert_eq!(b.injected, 6);

@@ -397,8 +397,7 @@ mod tests {
         let expect_ctf = left.cache.busy_cycles as f64 / left.cycles as f64;
         assert!((left.cache_time_fraction - expect_ctf.min(1.0)).abs() < 1e-12);
         assert_eq!(
-            left.datapaths.link_stack_peak,
-            32,
+            left.datapaths.link_stack_peak, 32,
             "peak is a max, not a sum"
         );
     }
@@ -521,9 +520,7 @@ impl std::fmt::Display for ExecutionReport {
             write!(
                 f,
                 "\n  breaker: {} trip(s), {} half-open probe(s), {} CPU fallback run(s)",
-                self.breaker.trips,
-                self.breaker.half_open_probes,
-                self.breaker.cpu_fallback_runs
+                self.breaker.trips, self.breaker.half_open_probes, self.breaker.cpu_fallback_runs
             )?;
         }
         Ok(())

@@ -32,14 +32,12 @@ fn arb_dd_matrix() -> impl Strategy<Value = Coo> {
 }
 
 fn arb_transient_plan() -> impl Strategy<Value = FaultPlan> {
-    (0u64..u64::MAX, 0.0f64..0.2, 0.0f64..0.2, 0.0f64..0.2).prop_map(
-        |(seed, lane, tree, cache)| {
-            FaultPlan::inert(seed)
-                .with_fcu_lane_rate(lane)
-                .with_fcu_tree_rate(tree)
-                .with_cache_fault_rate(cache)
-        },
-    )
+    (0u64..u64::MAX, 0.0f64..0.2, 0.0f64..0.2, 0.0f64..0.2).prop_map(|(seed, lane, tree, cache)| {
+        FaultPlan::inert(seed)
+            .with_fcu_lane_rate(lane)
+            .with_fcu_tree_rate(tree)
+            .with_cache_fault_rate(cache)
+    })
 }
 
 proptest! {

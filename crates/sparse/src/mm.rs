@@ -252,8 +252,7 @@ mod tests {
     #[test]
     fn rejects_nan_and_infinite_values() {
         for bad in ["NaN", "nan", "inf", "-inf", "infinity"] {
-            let src =
-                format!("%%MatrixMarket matrix coordinate real general\n2 2 1\n1 1 {bad}\n");
+            let src = format!("%%MatrixMarket matrix coordinate real general\n2 2 1\n1 1 {bad}\n");
             let err = read_matrix_market(src.as_bytes()).unwrap_err();
             assert!(
                 matches!(err, Error::Parse { line: 3, .. }),

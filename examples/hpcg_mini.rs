@@ -27,9 +27,9 @@
 
 use alrescha::fleet::{Fleet, FleetConfig, JobKernel, JobRecord, JobSpec};
 use alrescha::{AcceleratedMgPcg, AcceleratedPcg, Alrescha, CoreError, KernelType, SolverOptions};
-use alrescha_lint::Preflight;
 use alrescha_kernels::multigrid::GridHierarchy;
 use alrescha_kernels::spmv::spmv;
+use alrescha_lint::Preflight;
 use alrescha_sparse::{gen, Csr, MetaData};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -64,8 +64,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .map(|(_, s)| s.parse())
         .transpose()?
         .unwrap_or(10);
-    let tele = (trace_out.is_some() || metrics_out.is_some())
-        .then(alrescha_obs::Telemetry::new);
+    let tele = (trace_out.is_some() || metrics_out.is_some()).then(alrescha_obs::Telemetry::new);
     let write_telemetry = |tele: &std::sync::Arc<alrescha_obs::Telemetry>| {
         if let Some(path) = &trace_out {
             std::fs::write(path, alrescha_obs::export_chrome_trace(tele))?;

@@ -41,8 +41,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let trace_out = flag_value("--trace-out");
     let metrics_out = flag_value("--metrics-out");
     let queue: Option<usize> = flag_value("--queue").map(|s| s.parse()).transpose()?;
-    let tele = (trace_out.is_some() || metrics_out.is_some())
-        .then(alrescha_obs::Telemetry::new);
+    let tele = (trace_out.is_some() || metrics_out.is_some()).then(alrescha_obs::Telemetry::new);
     let write_telemetry = |tele: &std::sync::Arc<alrescha_obs::Telemetry>| {
         if let Some(path) = &trace_out {
             std::fs::write(path, alrescha_obs::export_chrome_trace(tele))?;

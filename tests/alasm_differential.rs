@@ -107,86 +107,90 @@ fn assert_bits_equal(what: &str, engine: &[f64], reference: &[f64]) {
 
 #[test]
 fn engine_matches_reference_interpreter_bit_for_bit() {
-    for_each_seed("engine_matches_reference_interpreter_bit_for_bit", 64, |seed| {
-        let (p, asm) = assembled(seed);
-        let mut engine = Engine::new(SimConfig::paper().with_omega(p.omega));
-        match p.kernel {
-            KernelType::SpMv => {
-                let (y_engine, report) = engine
-                    .run_spmv(&asm.alf, &p.x)
-                    .unwrap_or_else(|e| panic!("seed {seed}: engine rejected SpMV: {e}"));
-                let y_ref = spmv_reference(&asm.alf, &p.x)
-                    .unwrap_or_else(|e| panic!("seed {seed}: reference rejected SpMV: {e}"));
-                assert_bits_equal("y", &y_engine, &y_ref);
-                // Cycle-report consistency against the schedule.
-                assert_eq!(report.cycles, report.breakdown.total(), "seed {seed}");
-                assert_eq!(
-                    report.datapaths.gemv_blocks,
-                    asm.alf.blocks().len() as u64,
-                    "seed {seed}: one GEMV execution per streamed block"
-                );
-                assert_eq!(report.datapaths.dsymgs_blocks, 0, "seed {seed}");
-            }
-            KernelType::SymGs => {
-                let mut x_engine = p.x.clone();
-                let mut x_ref = p.x.clone();
-                let report = engine
-                    .run_symgs(&asm.alf, &p.b, &mut x_engine)
-                    .unwrap_or_else(|e| panic!("seed {seed}: engine rejected SymGS: {e}"));
-                symgs_reference(&asm.alf, &p.b, &mut x_ref)
-                    .unwrap_or_else(|e| panic!("seed {seed}: reference rejected SymGS: {e}"));
-                assert_bits_equal("x", &x_engine, &x_ref);
-
-                // Cycle-report consistency: the merged forward+backward
-                // report executes every block twice.
-                assert_eq!(report.cycles, report.breakdown.total(), "seed {seed}");
-                assert_eq!(report.datapaths.iterations, 1, "seed {seed}");
-                let offdiag = asm
-                    .alf
-                    .blocks()
-                    .iter()
-                    .filter(|b| b.kind() == BlockKind::OffDiagonal)
-                    .count() as u64;
-                let diag_rows = asm
-                    .alf
-                    .blocks()
-                    .iter()
-                    .filter(|b| b.kind() == BlockKind::Diagonal)
-                    .count() as u64;
-                assert_eq!(
-                    report.datapaths.gemv_blocks,
-                    2 * offdiag,
-                    "seed {seed}: two sweeps over each off-diagonal block"
-                );
-                assert_eq!(
-                    report.datapaths.dsymgs_blocks,
-                    2 * diag_rows,
-                    "seed {seed}: two sweeps over each diagonal block"
-                );
-                // Link-stack peak: the widest block row's GEMV results
-                // (ω entries per off-diagonal block) are all in flight.
-                let mut per_row = vec![0u64; asm.alf.block_rows()];
-                for b in asm.alf.blocks() {
-                    if b.kind() == BlockKind::OffDiagonal {
-                        per_row[b.block_row()] += p.omega as u64;
-                    }
+    for_each_seed(
+        "engine_matches_reference_interpreter_bit_for_bit",
+        64,
+        |seed| {
+            let (p, asm) = assembled(seed);
+            let mut engine = Engine::new(SimConfig::paper().with_omega(p.omega));
+            match p.kernel {
+                KernelType::SpMv => {
+                    let (y_engine, report) = engine
+                        .run_spmv(&asm.alf, &p.x)
+                        .unwrap_or_else(|e| panic!("seed {seed}: engine rejected SpMV: {e}"));
+                    let y_ref = spmv_reference(&asm.alf, &p.x)
+                        .unwrap_or_else(|e| panic!("seed {seed}: reference rejected SpMV: {e}"));
+                    assert_bits_equal("y", &y_engine, &y_ref);
+                    // Cycle-report consistency against the schedule.
+                    assert_eq!(report.cycles, report.breakdown.total(), "seed {seed}");
+                    assert_eq!(
+                        report.datapaths.gemv_blocks,
+                        asm.alf.blocks().len() as u64,
+                        "seed {seed}: one GEMV execution per streamed block"
+                    );
+                    assert_eq!(report.datapaths.dsymgs_blocks, 0, "seed {seed}");
                 }
-                let widest = per_row.iter().copied().max().unwrap_or(0);
-                assert_eq!(
-                    report.datapaths.link_stack_peak, widest,
-                    "seed {seed}: link-stack peak must equal the widest row's GEMV burst"
-                );
-                // Operand FIFOs fill one slot per valid lane; the first
-                // block row always has ω valid rows.
-                assert_eq!(
-                    report.datapaths.operand_fifo_peak,
-                    p.omega.min(p.n) as u64,
-                    "seed {seed}: operand FIFO peak"
-                );
+                KernelType::SymGs => {
+                    let mut x_engine = p.x.clone();
+                    let mut x_ref = p.x.clone();
+                    let report = engine
+                        .run_symgs(&asm.alf, &p.b, &mut x_engine)
+                        .unwrap_or_else(|e| panic!("seed {seed}: engine rejected SymGS: {e}"));
+                    symgs_reference(&asm.alf, &p.b, &mut x_ref)
+                        .unwrap_or_else(|e| panic!("seed {seed}: reference rejected SymGS: {e}"));
+                    assert_bits_equal("x", &x_engine, &x_ref);
+
+                    // Cycle-report consistency: the merged forward+backward
+                    // report executes every block twice.
+                    assert_eq!(report.cycles, report.breakdown.total(), "seed {seed}");
+                    assert_eq!(report.datapaths.iterations, 1, "seed {seed}");
+                    let offdiag = asm
+                        .alf
+                        .blocks()
+                        .iter()
+                        .filter(|b| b.kind() == BlockKind::OffDiagonal)
+                        .count() as u64;
+                    let diag_rows = asm
+                        .alf
+                        .blocks()
+                        .iter()
+                        .filter(|b| b.kind() == BlockKind::Diagonal)
+                        .count() as u64;
+                    assert_eq!(
+                        report.datapaths.gemv_blocks,
+                        2 * offdiag,
+                        "seed {seed}: two sweeps over each off-diagonal block"
+                    );
+                    assert_eq!(
+                        report.datapaths.dsymgs_blocks,
+                        2 * diag_rows,
+                        "seed {seed}: two sweeps over each diagonal block"
+                    );
+                    // Link-stack peak: the widest block row's GEMV results
+                    // (ω entries per off-diagonal block) are all in flight.
+                    let mut per_row = vec![0u64; asm.alf.block_rows()];
+                    for b in asm.alf.blocks() {
+                        if b.kind() == BlockKind::OffDiagonal {
+                            per_row[b.block_row()] += p.omega as u64;
+                        }
+                    }
+                    let widest = per_row.iter().copied().max().unwrap_or(0);
+                    assert_eq!(
+                        report.datapaths.link_stack_peak, widest,
+                        "seed {seed}: link-stack peak must equal the widest row's GEMV burst"
+                    );
+                    // Operand FIFOs fill one slot per valid lane; the first
+                    // block row always has ω valid rows.
+                    assert_eq!(
+                        report.datapaths.operand_fifo_peak,
+                        p.omega.min(p.n) as u64,
+                        "seed {seed}: operand FIFO peak"
+                    );
+                }
+                other => panic!("seed {seed}: generator emitted unexpected kernel {other:?}"),
             }
-            other => panic!("seed {seed}: generator emitted unexpected kernel {other:?}"),
-        }
-    });
+        },
+    );
 }
 
 #[test]

@@ -75,7 +75,11 @@ fn every_corpus_case_yields_its_typed_diagnostic_at_the_expected_span() {
     for case in CORPUS {
         let err = assemble_err(case.name, case.source);
         let primary = &err.diagnostics[0];
-        assert_eq!(primary.code, case.code, "{}: wrong rule ({primary})", case.name);
+        assert_eq!(
+            primary.code, case.code,
+            "{}: wrong rule ({primary})",
+            case.name
+        );
         assert_eq!(
             (primary.span.line, primary.span.col),
             case.at,

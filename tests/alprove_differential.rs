@@ -65,7 +65,9 @@ fn symgs_bound_dominates_engine_on_every_class() {
     let mut acc = Alrescha::with_paper_config();
     for class in gen::ScienceClass::ALL {
         let coo = class.generate(300, 13);
-        let b: Vec<f64> = (0..coo.rows()).map(|i| ((i * 7) % 13) as f64 - 6.0).collect();
+        let b: Vec<f64> = (0..coo.rows())
+            .map(|i| ((i * 7) % 13) as f64 - 6.0)
+            .collect();
         let prog = acc.program(KernelType::SymGs, &coo).expect("program");
         let analysis = analyze_programmed(&prog, acc.config());
         let mut x = vec![0.0; coo.cols()];
@@ -153,15 +155,14 @@ fn graph_round_caps_dominate_observed_rounds() {
 fn fleet_admission_hook_rejects_over_budget_jobs() {
     let coo = gen::stencil27(3);
     let x: Vec<f64> = (0..coo.cols()).map(|i| 1.0 + i as f64 * 0.01).collect();
-    let fleet = Fleet::new(FleetConfig::default().with_workers(1))
-        .with_admission(fleet_admission_hook());
+    let fleet =
+        Fleet::new(FleetConfig::default().with_workers(1)).with_admission(fleet_admission_hook());
 
-    let starved = JobSpec::new(coo.clone(), JobKernel::SpMv { x: x.clone() }).with_budget(
-        ExecBudget {
+    let starved =
+        JobSpec::new(coo.clone(), JobKernel::SpMv { x: x.clone() }).with_budget(ExecBudget {
             max_cycles: Some(10),
             ..ExecBudget::none()
-        },
-    );
+        });
     let report = fleet.run_sequential(vec![starved]);
     match &report.jobs[0].result {
         Err(e) => {
@@ -176,7 +177,10 @@ fn fleet_admission_hook_rejects_over_budget_jobs() {
 
     let open = JobSpec::new(coo, JobKernel::SpMv { x });
     let report = fleet.run_sequential(vec![open]);
-    assert!(report.jobs[0].result.is_ok(), "open budget must be admitted");
+    assert!(
+        report.jobs[0].result.is_ok(),
+        "open budget must be admitted"
+    );
 }
 
 /// The admission hook also refuses programs whose *resource* proof fails
@@ -189,15 +193,12 @@ fn fleet_admission_hook_rejects_overdeep_link_stack() {
     let coo = gen::scattered(256, 100, 5);
     let b: Vec<f64> = vec![1.0; coo.rows()];
     let x0 = vec![0.0; coo.cols()];
-    let fleet = Fleet::new(FleetConfig::default().with_workers(1))
-        .with_admission(fleet_admission_hook());
+    let fleet =
+        Fleet::new(FleetConfig::default().with_workers(1)).with_admission(fleet_admission_hook());
     let spec = JobSpec::new(coo, JobKernel::SymGs { b, x0 });
     let report = fleet.run_sequential(vec![spec]);
     match &report.jobs[0].result {
-        Err(e) => assert!(
-            e.to_string().contains("AL401"),
-            "expected AL401 in: {e}"
-        ),
+        Err(e) => assert!(e.to_string().contains("AL401"), "expected AL401 in: {e}"),
         Ok(_) => panic!("overdeep schedule must be rejected at admission"),
     }
 }

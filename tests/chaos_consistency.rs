@@ -80,10 +80,7 @@ fn full_matrix() -> bool {
 }
 
 fn tempdir(name: &str, seed: u64) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "alchaos-{name}-{seed}-{}",
-        std::process::id()
-    ));
+    let dir = std::env::temp_dir().join(format!("alchaos-{name}-{seed}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     dir
@@ -122,16 +119,12 @@ fn journal_never_loses_an_acked_record() {
         let mut acked_terminals: Vec<u64> = Vec::new();
         let mut next_id = 1u64;
         for round in 0..3u64 {
-            let journal = Journal::open_with(
-                &wal,
-                Arc::clone(&storage) as Arc<dyn StorageIo>,
-            );
+            let journal = Journal::open_with(&wal, Arc::clone(&storage) as Arc<dyn StorageIo>);
             // A stable-read failure after 32 retries is theoretically
             // possible but means the harness, not the journal, is
             // miscalibrated — surface it as a failure.
-            let mut journal = journal.unwrap_or_else(|e| {
-                panic!("seed {seed} round {round}: journal open failed: {e}")
-            });
+            let mut journal = journal
+                .unwrap_or_else(|e| panic!("seed {seed} round {round}: journal open failed: {e}"));
             // Replay must never have dropped an acked record.
             let pending: Vec<u64> = journal.recover().iter().map(|(id, _, _)| *id).collect();
             for id in &acked_accepts {
@@ -279,8 +272,8 @@ fn checkpoint_writes_are_atomic_old_or_new() {
             current = seen;
             // The chaos read path (bit-flip retries) agrees with the
             // clean read.
-            let chaos_seen = SolverCheckpoint::read_from_path_with(&storage, &path)
-                .unwrap_or_else(|e| {
+            let chaos_seen =
+                SolverCheckpoint::read_from_path_with(&storage, &path).unwrap_or_else(|e| {
                     panic!("seed {seed} attempt {attempt}: chaos read failed: {e}")
                 });
             assert_eq!(chaos_seen, current);
@@ -328,109 +321,111 @@ fn chaos_policy(seed: u64) -> RetryPolicy {
 fn serve_stack_survives_storage_and_network_chaos() {
     let merged_net = std::sync::Mutex::new(NetFaultCounters::default());
     let merged_io = std::sync::Mutex::new(IoFaultCounters::default());
-    for_each_seed("serve_stack_survives_storage_and_network_chaos", 2, |seed| {
-        let dir = tempdir("serve", seed);
-        let tele = Telemetry::new();
-        // Storage chaos is dialed below the journal-test rates: the server
-        // must make forward progress through its storage breaker, not
-        // spend the whole run rejecting.
-        let io_plan = IoFaultPlan {
-            short_write_rate: 0.10,
-            interrupt_rate: 0.05,
-            enospc_rate: 0.04,
-            fsync_fail_rate: 0.03,
-            bit_flip_rate: 0.10,
-            seed,
-        };
-        let storage = Arc::new(
-            ChaosStorage::new(io_plan).with_telemetry(Arc::clone(&tele)),
-        );
-        let config = ServerConfig {
-            bind: Bind::Tcp("127.0.0.1:0".to_owned()),
-            data_dir: dir.clone(),
-            workers: 2,
-            queue_capacity: 16,
-            per_tenant_quota: 8,
-            checkpoint_every: 3,
-            retry_after_hint: Duration::from_millis(2),
-            storage: Arc::clone(&storage) as Arc<dyn StorageIo>,
-            ..ServerConfig::default()
-        };
-        let handle = Server::new(config).start().unwrap();
-        let proxy = ChaosProxy::start_with_telemetry(
-            handle.addr().to_owned(),
-            NetFaultPlan::aggressive(seed),
-            Some(Arc::clone(&tele)),
-        )
-        .unwrap();
+    for_each_seed(
+        "serve_stack_survives_storage_and_network_chaos",
+        2,
+        |seed| {
+            let dir = tempdir("serve", seed);
+            let tele = Telemetry::new();
+            // Storage chaos is dialed below the journal-test rates: the server
+            // must make forward progress through its storage breaker, not
+            // spend the whole run rejecting.
+            let io_plan = IoFaultPlan {
+                short_write_rate: 0.10,
+                interrupt_rate: 0.05,
+                enospc_rate: 0.04,
+                fsync_fail_rate: 0.03,
+                bit_flip_rate: 0.10,
+                seed,
+            };
+            let storage = Arc::new(ChaosStorage::new(io_plan).with_telemetry(Arc::clone(&tele)));
+            let config = ServerConfig {
+                bind: Bind::Tcp("127.0.0.1:0".to_owned()),
+                data_dir: dir.clone(),
+                workers: 2,
+                queue_capacity: 16,
+                per_tenant_quota: 8,
+                checkpoint_every: 3,
+                retry_after_hint: Duration::from_millis(2),
+                storage: Arc::clone(&storage) as Arc<dyn StorageIo>,
+                ..ServerConfig::default()
+            };
+            let handle = Server::new(config).start().unwrap();
+            let proxy = ChaosProxy::start_with_telemetry(
+                handle.addr().to_owned(),
+                NetFaultPlan::aggressive(seed),
+                Some(Arc::clone(&tele)),
+            )
+            .unwrap();
 
-        // Submit a small prioritized batch THROUGH the proxy and wait for
-        // every job the server acknowledged.
-        let mut client = Client::tcp(proxy.addr().to_owned(), chaos_policy(seed));
-        let jobs: Vec<JobPayload> = (0..3u64)
-            .map(|j| {
-                let mut job = small_job(seed.wrapping_add(j));
-                job.priority = [0u8, 200, 9][j as usize];
-                job
-            })
-            .collect();
-        let mut ids = Vec::new();
-        for job in &jobs {
-            let id = client
-                .submit("chaos", job)
-                .unwrap_or_else(|e| panic!("seed {seed}: submit failed: {e:?}"));
-            ids.push(id);
-        }
-        for (id, job) in ids.iter().zip(&jobs) {
-            let result = client
-                .wait(*id)
-                .unwrap_or_else(|e| panic!("seed {seed}: wait({id}) failed: {e:?}"));
-            assert!(result.converged, "seed {seed}: job {id} did not converge");
-            assert_eq!(
-                result.solution_fingerprint,
-                reference_fingerprint(job),
-                "seed {seed}: job {id} diverged from the uninterrupted reference"
-            );
-        }
-        proxy_counters_into(&proxy, &merged_net);
-        handle.stop();
+            // Submit a small prioritized batch THROUGH the proxy and wait for
+            // every job the server acknowledged.
+            let mut client = Client::tcp(proxy.addr().to_owned(), chaos_policy(seed));
+            let jobs: Vec<JobPayload> = (0..3u64)
+                .map(|j| {
+                    let mut job = small_job(seed.wrapping_add(j));
+                    job.priority = [0u8, 200, 9][j as usize];
+                    job
+                })
+                .collect();
+            let mut ids = Vec::new();
+            for job in &jobs {
+                let id = client
+                    .submit("chaos", job)
+                    .unwrap_or_else(|e| panic!("seed {seed}: submit failed: {e:?}"));
+                ids.push(id);
+            }
+            for (id, job) in ids.iter().zip(&jobs) {
+                let result = client
+                    .wait(*id)
+                    .unwrap_or_else(|e| panic!("seed {seed}: wait({id}) failed: {e:?}"));
+                assert!(result.converged, "seed {seed}: job {id} did not converge");
+                assert_eq!(
+                    result.solution_fingerprint,
+                    reference_fingerprint(job),
+                    "seed {seed}: job {id} diverged from the uninterrupted reference"
+                );
+            }
+            proxy_counters_into(&proxy, &merged_net);
+            handle.stop();
 
-        // Crash-consistency coda: restart CLEAN (no chaos) over whatever
-        // the chaotic run left on disk. Every acked job must either be
-        // settled or recovered and re-run to the identical fingerprint.
-        let clean_config = ServerConfig {
-            bind: Bind::Tcp("127.0.0.1:0".to_owned()),
-            data_dir: dir.clone(),
-            workers: 2,
-            retry_after_hint: Duration::from_millis(2),
-            ..ServerConfig::default()
-        };
-        let handle = Server::new(clean_config).start().unwrap();
-        let mut client = Client::tcp(handle.addr().to_owned(), chaos_policy(seed));
-        for (id, job) in ids.iter().zip(&jobs) {
-            let result = client
-                .wait(*id)
-                .unwrap_or_else(|e| panic!("seed {seed}: post-restart wait({id}) failed: {e:?}"));
-            assert!(result.converged);
-            assert_eq!(
-                result.solution_fingerprint,
-                reference_fingerprint(job),
-                "seed {seed}: job {id} not bit-identical after clean restart"
-            );
-        }
-        handle.stop();
+            // Crash-consistency coda: restart CLEAN (no chaos) over whatever
+            // the chaotic run left on disk. Every acked job must either be
+            // settled or recovered and re-run to the identical fingerprint.
+            let clean_config = ServerConfig {
+                bind: Bind::Tcp("127.0.0.1:0".to_owned()),
+                data_dir: dir.clone(),
+                workers: 2,
+                retry_after_hint: Duration::from_millis(2),
+                ..ServerConfig::default()
+            };
+            let handle = Server::new(clean_config).start().unwrap();
+            let mut client = Client::tcp(handle.addr().to_owned(), chaos_policy(seed));
+            for (id, job) in ids.iter().zip(&jobs) {
+                let result = client.wait(*id).unwrap_or_else(|e| {
+                    panic!("seed {seed}: post-restart wait({id}) failed: {e:?}")
+                });
+                assert!(result.converged);
+                assert_eq!(
+                    result.solution_fingerprint,
+                    reference_fingerprint(job),
+                    "seed {seed}: job {id} not bit-identical after clean restart"
+                );
+            }
+            handle.stop();
 
-        // Telemetry: injected faults are visible as alobs counters.
-        let snapshot = tele.metrics().snapshot_json();
-        if storage.counters().total() > 0 {
-            assert!(
-                snapshot.contains("alchaos_io_"),
-                "seed {seed}: storage faults fired but no alchaos_io_* metric"
-            );
-        }
-        merged_io.lock().unwrap().merge(&storage.counters());
-        let _ = std::fs::remove_dir_all(&dir);
-    });
+            // Telemetry: injected faults are visible as alobs counters.
+            let snapshot = tele.metrics().snapshot_json();
+            if storage.counters().total() > 0 {
+                assert!(
+                    snapshot.contains("alchaos_io_"),
+                    "seed {seed}: storage faults fired but no alchaos_io_* metric"
+                );
+            }
+            merged_io.lock().unwrap().merge(&storage.counters());
+            let _ = std::fs::remove_dir_all(&dir);
+        },
+    );
 
     // Coverage across the matrix: every network fault kind fired. (The
     // storage-side coverage assert lives in the journal test, whose rates

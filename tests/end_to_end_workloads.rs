@@ -3,9 +3,9 @@
 
 use alrescha::{AcceleratedPcg, Alrescha, KernelType, SolverOptions, TerminationReason};
 use alrescha_kernels::graph;
-use alrescha_lint::Preflight;
 use alrescha_kernels::pcg::{pcg as pcg_host, PcgOptions};
 use alrescha_kernels::spmv::spmv;
+use alrescha_lint::Preflight;
 use alrescha_sim::PageRankConfig;
 use alrescha_sparse::{approx_eq, gen, Csr, MetaData};
 
@@ -23,9 +23,13 @@ fn pcg_on_every_science_class_end_to_end() {
         // Static verification first: the solve must start from a program
         // with zero error-severity diagnostics.
         let checked = acc.program(KernelType::SymGs, &coo).expect("program");
-        let diags = acc.preflight(&checked).expect("preflight refused a shipped class");
+        let diags = acc
+            .preflight(&checked)
+            .expect("preflight refused a shipped class");
         assert!(
-            diags.iter().all(|d| d.severity != alrescha_lint::Severity::Error),
+            diags
+                .iter()
+                .all(|d| d.severity != alrescha_lint::Severity::Error),
             "{}: {diags:?}",
             class.name()
         );

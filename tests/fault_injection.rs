@@ -29,7 +29,9 @@ fn checksums_detect_95_percent_of_fcu_flips() {
         max_retries: 16,
         backoff_cycles: 8,
     });
-    let x: Vec<f64> = (0..coo.cols()).map(|i| 1.0 + ((i % 7) as f64) * 0.5).collect();
+    let x: Vec<f64> = (0..coo.cols())
+        .map(|i| 1.0 + ((i % 7) as f64) * 0.5)
+        .collect();
     let (_, report) = acc.spmv(&prog, &x).expect("retries absorb transient flips");
 
     assert!(
@@ -302,7 +304,9 @@ fn every_data_path(plan: Option<FaultPlan>) -> Vec<(&'static str, Vec<u64>, Exec
     let prog = acc.program(KernelType::Bfs, &graph).unwrap();
     let (levels, rep) = acc.bfs(&prog, 0).unwrap();
     runs.push(("bfs", bits(&levels), rep));
-    let prog = acc.program(KernelType::ConnectedComponents, &graph).unwrap();
+    let prog = acc
+        .program(KernelType::ConnectedComponents, &graph)
+        .unwrap();
     let (labels, rep) = acc.connected_components(&prog).unwrap();
     runs.push(("cc", labels.iter().map(|&l| l as u64).collect(), rep));
 

@@ -147,21 +147,24 @@ fn sharded_cache_survives_concurrent_hammering() {
     let mut jobs = Vec::new();
     for rep in 0..10 {
         for a in &matrices {
-            let x: Vec<f64> = (0..a.cols()).map(|i| ((i + rep) % 9) as f64 - 4.0).collect();
+            let x: Vec<f64> = (0..a.cols())
+                .map(|i| ((i + rep) % 9) as f64 - 4.0)
+                .collect();
             jobs.push(JobSpec::new(a.clone(), JobKernel::SpMv { x }));
         }
     }
-    let fleet = Fleet::new(FleetConfig::default().with_workers(8).with_queue_capacity(256));
+    let fleet = Fleet::new(
+        FleetConfig::default()
+            .with_workers(8)
+            .with_queue_capacity(256),
+    );
     let batch = fleet.run(jobs.clone());
     assert_eq!(batch.stats.completed, jobs.len());
     // One conversion per distinct matrix, everything else served hot. A
     // racing duplicate conversion would show up as an extra miss.
     assert_eq!(fleet.cached_programs(), matrices.len());
     assert_eq!(batch.stats.cache_misses, matrices.len() as u64);
-    assert_eq!(
-        batch.stats.cache_hits,
-        (jobs.len() - matrices.len()) as u64
-    );
+    assert_eq!(batch.stats.cache_hits, (jobs.len() - matrices.len()) as u64);
 
     let sequential = Fleet::new(FleetConfig::default()).run_sequential(jobs);
     for (b_rec, s_rec) in batch.jobs.iter().zip(&sequential.jobs) {

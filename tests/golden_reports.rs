@@ -302,7 +302,10 @@ fn metrics_snapshot_matches_fixture() {
         .with_telemetry(Arc::clone(&tele));
     let batch = fleet.run_sequential(jobs);
     assert_eq!(batch.stats.failed, 0);
-    assert_golden("metrics_snapshot.json", &tele.metrics().deterministic_json());
+    assert_golden(
+        "metrics_snapshot.json",
+        &tele.metrics().deterministic_json(),
+    );
 }
 
 /// Compares `actual` against a committed binary fixture byte for byte, or
@@ -344,10 +347,30 @@ fn program_containers_match_golden_bytes() {
 
     let road = gen::road_grid(6).transpose();
     for (name, kernel, coo, omega) in [
-        ("alpr/stencil27_symgs_w4.alpr", KernelType::SymGs, gen::stencil27(3), 4),
-        ("alpr/circuit_spmv_w8.alpr", KernelType::SpMv, gen::circuit(64, 3), 8),
-        ("alpr/road_grid_bfs_w4.alpr", KernelType::Bfs, road.clone(), 4),
-        ("alpr/road_grid_pagerank_w4.alpr", KernelType::PageRank, road.clone(), 4),
+        (
+            "alpr/stencil27_symgs_w4.alpr",
+            KernelType::SymGs,
+            gen::stencil27(3),
+            4,
+        ),
+        (
+            "alpr/circuit_spmv_w8.alpr",
+            KernelType::SpMv,
+            gen::circuit(64, 3),
+            8,
+        ),
+        (
+            "alpr/road_grid_bfs_w4.alpr",
+            KernelType::Bfs,
+            road.clone(),
+            4,
+        ),
+        (
+            "alpr/road_grid_pagerank_w4.alpr",
+            KernelType::PageRank,
+            road.clone(),
+            4,
+        ),
     ] {
         let (alf, table) = convert(kernel, &coo, omega).expect("convert");
         let binary = ProgramBinary::encode(kernel, &table, coo.rows().max(coo.cols()), omega);

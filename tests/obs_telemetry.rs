@@ -12,11 +12,9 @@ use proptest::prelude::*;
 use alrescha::fleet::{Fleet, FleetConfig, JobKernel, JobSpec};
 use alrescha::{FaultPlan, RecoveryPolicy};
 use alrescha_obs::json::Value;
-use alrescha_obs::{
-    count_spans_named, export_chrome_trace, validate_chrome_trace, Telemetry,
-};
-use alrescha_sim::trace::{to_device_events, TraceEvent};
 use alrescha_obs::DeviceEvent;
+use alrescha_obs::{count_spans_named, export_chrome_trace, validate_chrome_trace, Telemetry};
+use alrescha_sim::trace::{to_device_events, TraceEvent};
 use alrescha_sim::{Engine, SimConfig};
 
 fn spmv_jobs(n: usize, n_jobs: usize) -> Vec<JobSpec> {
@@ -120,7 +118,10 @@ fn engine_trace_invariants_hold_under_faults() {
         count(&|e| matches!(e, TraceEvent::FaultInjected { .. })) > 0,
         "detected faults must be visible in the trace"
     );
-    assert!(matches!(trace.first(), Some(TraceEvent::KernelBegin { .. })));
+    assert!(matches!(
+        trace.first(),
+        Some(TraceEvent::KernelBegin { .. })
+    ));
     assert!(matches!(trace.last(), Some(TraceEvent::KernelEnd { .. })));
 
     // The cycle-cursor walk converts every block to a span and never
