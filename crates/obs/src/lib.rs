@@ -38,6 +38,7 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod chrome;
+pub mod codec;
 pub mod crc;
 pub mod flight;
 pub mod json;
@@ -47,6 +48,7 @@ pub mod summary;
 pub mod telemetry;
 
 pub use chrome::export_chrome_trace;
+pub use codec::{CodecError, Reader};
 pub use crc::crc32;
 pub use flight::{FlightDump, FlightError, FlightRecord, FlightRecorder};
 pub use metrics::{Counter, Gauge, Histogram, Registry, CYCLE_BUCKETS, MICROS_BUCKETS};
